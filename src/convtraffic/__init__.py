@@ -19,6 +19,7 @@ from .reference import (
     conv_backward_delta,
     conv_forward,
     finite_diff_gradient,
+    kernel_gradient,
     kernel_update,
     pool_backward,
     pool_forward,
@@ -27,14 +28,13 @@ from .reference import (
 )
 from .simulator import (
     AccumulatorBank,
-    BankGrid,
     LineBuffer,
     SimResult,
     accumulate_sweep,
     bank_route,
+    kernel_matrix,
     pool_engine_schedule,
     run_super_layer,
-    window_fetch,
 )
 from .specs import (
     ConvSpec,

@@ -20,6 +20,7 @@ from .errors import ConfigError, GradcheckError, ShapeError
 from .reference import (
     act_backward,
     finite_diff_gradient,
+    kernel_gradient,
     kernel_update,
     pool_backward,
     super_backward_delta,
@@ -264,9 +265,7 @@ def analytic_kernel_gradients(
     grads: list[np.ndarray | None] = [None] * len(net.layers)
     for index in range(last, -1, -1):
         layer = net.layers[index]
-        _, grads[index] = kernel_update(
-            banks[index], inputs[index], d, layer.conv, TrainConfig(0.0)
-        )
+        grads[index] = kernel_gradient(inputs[index], d, layer.conv)
         if index > 0:
             d = super_backward_delta(
                 d, banks[index], layer.conv, net.layers[index - 1], pre_acts[index - 1]

@@ -1,14 +1,15 @@
 """Transaction-level model of the streaming conv engine.
 
-Executes the hardware schedule directly: per-map line buffers feeding a
-modular k x k bank grid, a shared window register, computational units
-sweeping co-located windows into an m-wide accumulator bank, and a fused
-rectifier/pooling engine. Produces functional outputs plus exact external
-word and cycle counters that must agree with the closed-form traffic
-model to the byte.
+Executes the hardware schedule directly: k-row line buffers whose slice
+per input map is a modular k x k bank grid, a shared window register,
+computational units sweeping co-located windows into an m-wide accumulator
+bank, and a fused rectifier/pooling engine. Produces functional outputs
+plus exact external word and cycle counters that must agree with the
+closed-form traffic model to the byte.
 
-A simulator instance handles one image of one group; group and batch
-totals scale linearly and counters merge by summation.
+One run covers one image of one group and scales its counters to the
+group count. Over a batch, streamed words and cycles add up image by image,
+while the one-time kernel preload is charged once per run, as in the model.
 """
 
 from __future__ import annotations
@@ -19,10 +20,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .archmodel import HwConfig
+from .archmodel import HwConfig, sram_budget
 from .errors import ConfigError, ShapeError
 from .specs import ConvSpec, PoolSpec, SuperLayerSpec, check_kernels, check_maps
-from .traffic import Phase, StrategySet, TrafficReport, op_count, used_extent
+from .traffic import (
+    Phase,
+    StrategySet,
+    TrafficReport,
+    op_count,
+    transpose_geometry,
+    used_extent,
+)
 
 
 def bank_route(row: int, col: int, k: int) -> tuple[int, int]:
@@ -32,64 +40,17 @@ def bank_route(row: int, col: int, k: int) -> tuple[int, int]:
     return row % k, col % k
 
 
-class BankGrid:
-    """k x k two-port banks for one input map.
-
-    Row y is physically held in bank row y % k; the column coordinate maps
-    to bank column x % k by addressing alone, so a window fetch only has to
-    undo the row rotation to restore window order. Any k x k window over
-    resident rows touches every bank exactly once.
-    """
-
-    def __init__(self, k: int, width: int, dtype=np.float32):
-        self.k = k
-        self.width = width
-        self.rows = np.zeros((k, width), dtype=dtype)
-        self.row_ids = [-1] * k
-
-    def fill_row(self, y: int, values: np.ndarray | None) -> int:
-        """Install row y, evicting whatever bank row y % k held. Returns the
-        evicted row id (-1 when the slot was empty)."""
-        phys = y % self.k
-        evicted = self.row_ids[phys]
-        if values is None:
-            self.rows[phys] = 0.0
-        else:
-            if values.shape[0] != self.width:
-                raise ShapeError(
-                    f"row width {values.shape[0]} does not match grid width {self.width}"
-                )
-            self.rows[phys] = values
-        self.row_ids[phys] = y
-        return evicted
-
-    def resident(self, y: int) -> bool:
-        return self.row_ids[y % self.k] == y
-
-    def window(self, r: int, c: int) -> np.ndarray:
-        """The k x k window anchored at (r, c), rows de-rotated to window order."""
-        k = self.k
-        perm = []
-        for i in range(k):
-            y = r + i
-            if self.row_ids[y % k] != y:
-                raise RuntimeError(f"window row {y} is not resident in the bank grid")
-            perm.append(y % k)
-        if c < 0 or c + k > self.width:
-            raise RuntimeError(f"window columns [{c}, {c + k}) fall outside the grid")
-        return self.rows[perm, c : c + k]
-
-
-def window_fetch(grid: BankGrid, r: int, c: int) -> np.ndarray:
-    """Fetch a k x k window from a bank grid (one read per bank)."""
-    return grid.window(r, c)
-
-
 class LineBuffer:
     """The k most recent rows of every input map, fed one element per shift.
 
-    Rows live in per-map bank grids over the padded width; padding columns
-    and rows are synthesized on chip and never charged as external reads.
+    All maps share one (n_maps, k, padded_width) array: map i's k x k bank
+    grid is rows[i]. Row y sits in bank row y % k; the column coordinate maps
+    to bank column x % k by addressing alone, so a window fetch only has to
+    undo the row rotation to restore window order, and any k x k window over
+    resident rows touches every bank exactly once. The maps advance through
+    the rows in lockstep, so one row id per bank row serves them all.
+    Padding columns and rows are synthesized on chip and never charged as
+    external reads.
     """
 
     def __init__(self, n_maps: int, k: int, width: int, pad: int = 0, dtype=np.float32):
@@ -97,7 +58,8 @@ class LineBuffer:
         self.k = k
         self.width = width
         self.pad = pad
-        self.grids = [BankGrid(k, width + 2 * pad, dtype) for _ in range(n_maps)]
+        self.rows = np.zeros((n_maps, k, width + 2 * pad), dtype=dtype)
+        self.row_ids = [-1] * k  # padded row held by each bank row, -1 when empty
         self.external_reads = 0
         self._cursor = [(0, 0)] * n_maps  # next expected (row, col) per map
 
@@ -109,29 +71,51 @@ class LineBuffer:
             raise RuntimeError(
                 f"out-of-order arrival: expected element {(row, col)}, got {at}"
             )
-        grid = self.grids[map_index]
+        phys = (row + self.pad) % self.k
         if col == 0:
-            grid.fill_row(row + self.pad, None)
-        grid.rows[(row + self.pad) % self.k, self.pad + col] = value
+            self.rows[map_index, phys] = 0.0
+            self.row_ids[phys] = row + self.pad
+        self.rows[map_index, phys, self.pad + col] = value
         self.external_reads += 1
         col += 1
         self._cursor[map_index] = (row, col) if col < self.width else (row + 1, 0)
         return row >= self.k
 
-    def admit_row(self, y_real: int, values: np.ndarray | None, used_cols: int) -> None:
-        """Admit one full real row across all maps at once (schedule fast path).
+    def fill_row(self, y_padded: int, values: np.ndarray | None) -> None:
+        """Install padded row y in every map, evicting what its bank row held.
 
-        values has shape (n_maps, padded_width) or is None when only the
-        accounting matters.
+        values has shape (n_maps, padded_width), or is None for an all-zero
+        row (synthesized padding, or only the accounting matters).
         """
-        for i, grid in enumerate(self.grids):
-            grid.fill_row(y_real + self.pad, None if values is None else values[i])
+        phys = y_padded % self.k
+        if values is None:
+            self.rows[:, phys] = 0.0
+        else:
+            if values.shape != self.rows[:, phys].shape:
+                raise ShapeError(
+                    f"row block {values.shape} does not match the line buffer's "
+                    f"{self.rows[:, phys].shape}"
+                )
+            self.rows[:, phys] = values
+        self.row_ids[phys] = y_padded
+
+    def admit_row(self, y_real: int, values: np.ndarray | None, used_cols: int) -> None:
+        """Admit one full real row across all maps at once (schedule fast path)."""
+        self.fill_row(y_real + self.pad, values)
         self.external_reads += self.n_maps * used_cols
 
-    def mark_pad_row(self, y_padded: int) -> None:
-        """Install an all-zero synthesized row; no external traffic."""
-        for grid in self.grids:
-            grid.fill_row(y_padded, None)
+    def windows(self, r: int, c: int) -> np.ndarray:
+        """The k x k windows of all maps anchored at padded (r, c), rows
+        de-rotated to window order: shape (n_maps, k, k), one read per bank."""
+        k = self.k
+        perm = []
+        for y in range(r, r + k):
+            if self.row_ids[y % k] != y:
+                raise RuntimeError(f"window row {y} is not resident in the line buffer")
+            perm.append(y % k)
+        if c < 0 or c + k > self.rows.shape[2]:
+            raise RuntimeError(f"window columns [{c}, {c + k}) fall outside the bank grid")
+        return self.rows[:, perm, c : c + k]
 
 
 @dataclass
@@ -152,21 +136,32 @@ class AccumulatorBank:
         return 32 * self.m
 
 
+def kernel_matrix(kers: np.ndarray) -> np.ndarray:
+    """Kernels (n, m, k, k) laid out once per sweep as an (n*k*k, m) matrix
+    whose rows follow the (map, tap) order of a flattened window stack."""
+    n, m, k, _ = kers.shape
+    laid_out = np.ascontiguousarray(kers.transpose(0, 2, 3, 1), dtype=np.float32)
+    return laid_out.reshape(n * k * k, m)
+
+
 def accumulate_sweep(
-    acc: AccumulatorBank, windows: np.ndarray, kers: np.ndarray, num_cu: int
+    acc: AccumulatorBank, windows: np.ndarray, kmat: np.ndarray, num_cu: int
 ) -> np.ndarray:
     """Sweep co-located windows in CU-sized waves, accumulating all m outputs.
 
-    windows: (n, k, k) of the current co-located position; kers: (n, m, k, k).
-    The accumulator must be clear when the sweep starts; the m results are
-    streamed out exactly once afterwards.
+    windows: (n, k, k) of the current co-located position; kmat: the
+    (n*k*k, m) kernel_matrix. Each wave of up to num_cu maps adds one dot
+    product into the accumulator. The accumulator must be clear when the
+    sweep starts; the m results are streamed out exactly once afterwards.
     """
     if np.any(acc.values):
         raise RuntimeError("accumulator bank not cleared at sweep start")
     n = windows.shape[0]
+    taps = windows.reshape(-1)
+    per_map = taps.shape[0] // n
     for start in range(0, n, num_cu):
-        wave = slice(start, min(start + num_cu, n))
-        acc.values += np.einsum("iuv,ijuv->j", windows[wave], kers[wave])
+        wave = slice(start * per_map, min(start + num_cu, n) * per_map)
+        acc.values += taps[wave] @ kmat[wave]
     return acc.values.copy()
 
 
@@ -276,9 +271,10 @@ def _conv_sweep(
     waves = math.ceil(n / hw.num_cu)
     use_lb = strategies.line_buffer
 
-    xpad = None
+    xpad = kmat = None
     if compute:
         xpad = np.pad(x.astype(np.float32, copy=False), ((0, 0), (pad, pad), (pad, pad)))
+        kmat = kernel_matrix(kers)
     lb = LineBuffer(n, k, in_w, pad=pad) if use_lb else None
     acc = AccumulatorBank(m) if compute else None
     y = np.zeros((m, ho, wo), dtype=np.float32) if compute else None
@@ -299,7 +295,7 @@ def _conv_sweep(
                             for col in range(used_cols):
                                 counters.reads[(trace_tag, i, y_real, col)] += 1
                 else:
-                    lb.mark_pad_row(yp)
+                    lb.fill_row(yp, None)
             admitted_until = band_top + k
         for c in range(wo):
             counters.input_words += per_position
@@ -307,13 +303,11 @@ def _conv_sweep(
             counters.output_words += out_words_per_position
             if compute:
                 if use_lb:
-                    win = np.stack(
-                        [window_fetch(g, r * s, c * s) for g in lb.grids]
-                    )
+                    win = lb.windows(r * s, c * s)
                 else:
                     win = xpad[:, r * s : r * s + k, c * s : c * s + k]
                 acc.reset()
-                y[:, r, c] = accumulate_sweep(acc, win, kers, hw.num_cu)
+                y[:, r, c] = accumulate_sweep(acc, win, kmat, hw.num_cu)
     if use_lb:
         counters.input_words += lb.external_reads
     if strategies.kernels_on_chip and count_outputs:
@@ -398,6 +392,7 @@ def run_super_layer(
     pre-activation maps for the derivative mask.
     """
     conv = layer.conv
+    geometry = layer  # the conv geometry the engine runs, and is sized for
     fused = strategies.fused_super_layer
     counters = _Counters(trace)
     ho, wo = layer.conv_out_dims()
@@ -425,21 +420,16 @@ def run_super_layer(
     elif phase is Phase.DP:
         if prev_layer is None:
             raise ConfigError("delta propagation needs the previous super layer")
-        if conv.stride != 1:
-            raise ConfigError(
-                f"delta propagation supports stride 1 only, got stride {conv.stride}"
-            )
-        tconv = ConvSpec(n=conv.m, m=conv.n, k=conv.k, stride=1, pad=conv.k - 1 - conv.pad)
+        geometry = transpose_geometry(layer)
+        tconv = geometry.conv
         _check_capacity(tconv, hw, strategies)
         tkers = None
         if compute:
             check_maps(x, conv.m, ho, wo, "delta")
             check_kernels(kers, conv)
-            tkers = np.ascontiguousarray(
-                np.transpose(kers[:, :, ::-1, ::-1], (1, 0, 2, 3)).astype(np.float32)
-            )
+            tkers = np.transpose(kers[:, :, ::-1, ::-1], (1, 0, 2, 3))
         d = _conv_sweep(
-            x, tkers, tconv, ho, wo, hw, strategies,
+            x, tkers, tconv, geometry.input_h, geometry.input_w, hw, strategies,
             counters, compute, count_outputs=not fused, trace_tag="d" if trace else None,
         )
         prev_h, prev_w = prev_layer.conv_out_dims()
@@ -470,7 +460,11 @@ def run_super_layer(
             check_maps(delta, m, ho, wo, "delta")
             check_kernels(kers, conv)
             xpad = np.pad(x.astype(np.float32, copy=False), ((0, 0), (pad, pad), (pad, pad)))
-            grad = np.zeros((n, m, k, k), dtype=np.float32)
+            # the kernel store in (map, tap) x output order, plus one
+            # preallocated outer-product buffer reused at every position
+            store = np.zeros((n * k * k, m), dtype=np.float32)
+            product = np.empty_like(store)
+            d_at = np.moveaxis(delta.astype(np.float32, copy=False), 0, -1)
         if strategies.line_buffer:
             # input maps stream through the line buffers exactly once
             counters.input_words += n * used_rows * used_cols
@@ -493,8 +487,11 @@ def run_super_layer(
                     counters.output_words += out_per_position
                 counters.cycles += m * waves
                 if compute:
-                    win = xpad[:, r * s : r * s + k, c * s : c * s + k]
-                    grad += np.einsum("j,iuv->ijuv", delta[:, r, c].astype(np.float32), win)
+                    win = xpad[:, r * s : r * s + k, c * s : c * s + k].reshape(-1, 1)
+                    np.multiply(win, d_at[r, c], out=product)
+                    store += product
+        if compute:
+            grad = store.reshape(n, k, k, m).transpose(0, 3, 1, 2)
         if strategies.kernels_on_chip and not fused:
             counters.kernel_words += n * m * k * k
         # gradients accumulate in the kernel store and never stream out
@@ -512,16 +509,15 @@ def run_super_layer(
         act_ops=act_ops if phase is Phase.FP else 0,
         pool_ops=pool_ops if phase is Phase.FP else 0,
     )
-    sram_bytes = conv.n * conv.m * conv.k**2 * word + conv.n * conv.k * layer.input_w * word
-    register_bits = 32 * conv.k**2 * hw.num_cu + 32 * conv.m
+    budget = sram_budget(geometry, hw)
     return SimResult(
         outputs=outputs,
         pre_act=pre_act,
         grad=grad,
         traffic=traffic,
         cycles=counters.cycles * groups,
-        sram_bytes=sram_bytes,
-        register_bits=register_bits,
+        sram_bytes=budget.kernel_sram_bytes + budget.line_buffer_bytes,
+        register_bits=budget.window_register_bits + budget.accumulator_bits,
         read_trace=counters.reads,
         write_trace=counters.writes,
     )

@@ -8,9 +8,9 @@ import numpy as np
 
 from .archmodel import HwConfig
 from .errors import ConfigError
-from .reference import kernel_update, super_backward_delta, super_forward
+from .reference import kernel_gradient, super_backward_delta, super_forward
 from .simulator import SimResult, run_super_layer
-from .specs import NetworkSpec, SuperLayerSpec, TrainConfig
+from .specs import NetworkSpec, SuperLayerSpec
 from .traffic import Phase, StrategySet, TrafficReport, op_count, super_traffic
 
 
@@ -19,7 +19,8 @@ def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ConfigError(f"shape mismatch {a.shape} vs {b.shape}")
     scale = max(float(np.max(np.abs(b))), 1e-30)
-    return float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64)))) / scale
+    diff = np.subtract(a, b, dtype=np.float64)
+    return float(np.max(np.abs(diff, out=diff))) / scale
 
 
 def random_phase_tensors(
@@ -70,10 +71,7 @@ def reference_phase_result(
             prev_layer,
             tensors.get("prev_pre_act"),
         )
-    _, grad = kernel_update(
-        tensors["kers"], tensors["x"], tensors["delta"], layer.conv, TrainConfig(0.0)
-    )
-    return grad
+    return kernel_gradient(tensors["x"], tensors["delta"], layer.conv)
 
 
 @dataclass
@@ -104,9 +102,12 @@ def simulate_layer(
     check_reference: bool = False,
     trace: bool = False,
 ) -> LayerCheck:
-    """Run one layer for `batch` images (counters merged by summation) and
-    optionally assert byte equality with the traffic model and functional
-    agreement with the reference math."""
+    """Run one layer for `batch` images and optionally assert byte equality
+    with the traffic model and functional agreement with the reference math.
+
+    Streamed bytes and cycles add up over the images; the kernel preload is
+    charged once per run, since the store keeps the kernels across images.
+    """
     layer = net.layers[index]
     groups = net.groups[index]
     prev_layer = net.layers[index - 1] if index > 0 else None
@@ -133,7 +134,7 @@ def simulate_layer(
         )
         in_bytes += result.traffic.input_bytes
         out_bytes += result.traffic.output_bytes
-        ker_bytes += result.traffic.kernel_bytes
+        ker_bytes = result.traffic.kernel_bytes
         cycles += result.cycles
         last = result
         if check_reference and compute:

@@ -3,20 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from convtraffic.archmodel import sram_budget
 from convtraffic.errors import ConfigError
 from convtraffic.reference import conv_forward, super_forward
 from convtraffic.simulator import (
     AccumulatorBank,
-    BankGrid,
     LineBuffer,
     accumulate_sweep,
     bank_route,
+    kernel_matrix,
     pool_engine_schedule,
     run_super_layer,
-    window_fetch,
 )
 from convtraffic.specs import ConvSpec, NetworkSpec, PoolSpec, SuperLayerSpec
-from convtraffic.traffic import Phase, StrategySet
+from convtraffic.traffic import Phase, StrategySet, transpose_geometry
 from convtraffic.verify import max_relative_error, simulate_layer
 
 
@@ -34,34 +34,37 @@ class TestBankRoute:
 
 
 class TestBankGrid:
+    """Each map's k x k bank grid is one (k, padded_width) slice of the
+    LineBuffer array; one fetch returns the windows of every map."""
+
     def test_window_matches_direct_indexing_after_band_fill(self):
         rng = np.random.default_rng(0)
-        data = rng.standard_normal((6, 7)).astype(np.float32)
-        grid = BankGrid(3, 7)
+        data = rng.standard_normal((2, 6, 7)).astype(np.float32)
+        lb = LineBuffer(2, 3, 7)
         for y in range(3):
-            grid.fill_row(y, data[y])
+            lb.fill_row(y, data[:, y])
         for r in (0,):
             for c in range(5):
-                assert np.array_equal(window_fetch(grid, r, c), data[r : r + 3, c : c + 3])
-        # slide the band down one row and re-check
-        grid.fill_row(3, data[3])
+                assert np.array_equal(lb.windows(r, c), data[:, r : r + 3, c : c + 3])
+        # slide the band down one row, recycling the row-0 banks, and re-check
+        lb.fill_row(3, data[:, 3])
         for c in range(5):
-            assert np.array_equal(window_fetch(grid, 1, c), data[1:4, c : c + 3])
+            assert np.array_equal(lb.windows(1, c), data[:, 1:4, c : c + 3])
 
     def test_k1_single_element(self):
-        grid = BankGrid(1, 4)
-        grid.fill_row(2, np.array([9.0, 8.0, 7.0, 6.0], dtype=np.float32))
-        assert window_fetch(grid, 2, 3) == np.float32(6.0)
+        lb = LineBuffer(1, 1, 4)
+        lb.fill_row(2, np.array([[9.0, 8.0, 7.0, 6.0]], dtype=np.float32))
+        assert lb.windows(2, 3)[0] == np.float32(6.0)
 
     def test_consecutive_fetches_share_columns(self):
         rng = np.random.default_rng(1)
         k = 3
-        data = rng.standard_normal((3, 8)).astype(np.float32)
-        grid = BankGrid(k, 8)
+        data = rng.standard_normal((1, 3, 8)).astype(np.float32)
+        lb = LineBuffer(1, k, 8)
         for y in range(k):
-            grid.fill_row(y, data[y])
-        a = window_fetch(grid, 0, 2)
-        b = window_fetch(grid, 0, 3)
+            lb.fill_row(y, data[:, y])
+        a = lb.windows(0, 2)[0]
+        b = lb.windows(0, 3)[0]
         assert np.array_equal(a[:, 1:], b[:, :-1])  # k*(k-1) shared elements
 
     def test_each_window_read_covers_all_banks_once(self):
@@ -70,12 +73,12 @@ class TestBankGrid:
         assert len(coords) == k * k
 
     def test_non_resident_row_trips_invariant(self):
-        grid = BankGrid(2, 4)
-        grid.fill_row(0, np.zeros(4, dtype=np.float32))
-        grid.fill_row(1, np.zeros(4, dtype=np.float32))
-        grid.fill_row(2, np.zeros(4, dtype=np.float32))  # evicts row 0
+        lb = LineBuffer(1, 2, 4)
+        lb.fill_row(0, np.zeros((1, 4), dtype=np.float32))
+        lb.fill_row(1, np.zeros((1, 4), dtype=np.float32))
+        lb.fill_row(2, np.zeros((1, 4), dtype=np.float32))  # evicts row 0
         with pytest.raises(RuntimeError, match="not resident"):
-            grid.window(0, 0)
+            lb.windows(0, 0)
 
 
 class TestLineBuffer:
@@ -125,30 +128,39 @@ class TestAccumulateSweep:
         windows = rng.standard_normal((n, k, k)).astype(np.float32)
         kers = rng.standard_normal((n, m, k, k)).astype(np.float32)
         acc = AccumulatorBank(m)
-        out = accumulate_sweep(acc, windows, kers, num_cu=16)
+        out = accumulate_sweep(acc, windows, kernel_matrix(kers), num_cu=16)
         assert out.shape == (m,)
         assert acc.capacity_bits == 32 * m
 
     def test_single_filter(self):
         windows = np.full((1, 2, 2), 2.0, dtype=np.float32)
         kers = np.full((1, 1, 2, 2), 3.0, dtype=np.float32)
-        out = accumulate_sweep(AccumulatorBank(1), windows, kers, num_cu=4)
+        out = accumulate_sweep(AccumulatorBank(1), windows, kernel_matrix(kers), num_cu=4)
         assert out[0] == pytest.approx(24.0)
 
     def test_matches_reference_conv_element(self):
         rng = np.random.default_rng(3)
-        n, m, k = 7, 5, 3
+        n, m, k = 7, 5, 3  # 2 CUs: three full waves and a one-map last wave
         x = rng.standard_normal((n, k, k)).astype(np.float32)
         kers = rng.standard_normal((n, m, k, k)).astype(np.float32)
-        out = accumulate_sweep(AccumulatorBank(m), x, kers, num_cu=2)
+        out = accumulate_sweep(AccumulatorBank(m), x, kernel_matrix(kers), num_cu=2)
         expected = conv_forward(x, kers, ConvSpec(n, m, k))[:, 0, 0]
         assert max_relative_error(out, expected) < 1e-5
+
+    def test_partial_last_wave_accumulates_in_wave_order(self):
+        # 3 maps on 2 CUs: waves {0, 1} then {2}. Each wave's sum is rounded
+        # into the 32-bit accumulator before the next wave adds to it.
+        kmat = kernel_matrix(np.ones((3, 1, 1, 1), np.float32))
+        lost = np.array([1.0, 1e8, -1e8], np.float32).reshape(3, 1, 1)
+        kept = np.array([1e8, -1e8, 1.0], np.float32).reshape(3, 1, 1)
+        assert accumulate_sweep(AccumulatorBank(1), lost, kmat, num_cu=2)[0] == 0.0
+        assert accumulate_sweep(AccumulatorBank(1), kept, kmat, num_cu=2)[0] == 1.0
 
     def test_dirty_accumulator_rejected(self):
         acc = AccumulatorBank(2)
         acc.values[0] = 1.0
         with pytest.raises(RuntimeError, match="not cleared"):
-            accumulate_sweep(acc, np.ones((1, 1, 1), np.float32), np.ones((1, 2, 1, 1), np.float32), 1)
+            accumulate_sweep(acc, np.ones((1, 1, 1), np.float32), np.ones((1, 2), np.float32), 1)
 
 
 class TestPoolEngineSchedule:
@@ -305,3 +317,46 @@ class TestSimulatorAgainstModel:
                 seed=1, compute=True, check_model=True,
             )
             assert check.model_match, check.model_mismatch
+
+    @pytest.mark.parametrize("batch", [2, 3])
+    def test_batch_bytes_match_model_every_phase_and_prefix(self, paper_hw, batch):
+        # the kernel preload is charged once per run, not once per image
+        first = SuperLayerSpec(ConvSpec(2, 4, 3, stride=1, pad=1), 8, 8, True, PoolSpec(2, 2))
+        second = SuperLayerSpec(ConvSpec(2, 3, 3, stride=1, pad=1), 4, 4, True, None)
+        net = NetworkSpec("pair", batch, (first, second), (1, 2))
+        for index, phases in ((0, (Phase.FP, Phase.KU)), (1, (Phase.FP, Phase.DP, Phase.KU))):
+            for phase in phases:
+                for prefix in range(6):
+                    check = simulate_layer(
+                        net, index, phase, StrategySet.first(prefix), paper_hw,
+                        seed=prefix, batch=batch, check_model=True, check_reference=True,
+                    )
+                    assert check.model_match, (index, phase, prefix, check.model_mismatch)
+                    assert check.reference_error < 1e-5
+
+    def test_alexnet_layer4_preload_charged_once_at_batch2(self, alexnet, paper_hw):
+        check = simulate_layer(
+            alexnet, 3, Phase.FP, StrategySet.first(4), paper_hw,
+            seed=0, batch=2, compute=False, check_model=True,
+        )
+        assert check.model_match, check.model_mismatch
+        assert check.sim_traffic.kernel_bytes == 2_654_208
+
+    def test_sram_matches_budget_every_phase(self, alexnet, paper_hw):
+        # delta propagation is sized on the transposed geometry
+        for index, layer in enumerate(alexnet.layers):
+            phases = [Phase.FP, Phase.KU]
+            if index > 0 and layer.conv.stride == 1:
+                phases.append(Phase.DP)
+            for phase in phases:
+                r = run_super_layer(
+                    None, None, layer, paper_hw, StrategySet.all_on(), phase,
+                    prev_layer=alexnet.layers[index - 1] if index else None,
+                    groups=alexnet.groups[index], compute=False,
+                )
+                geom = transpose_geometry(layer) if phase is Phase.DP else layer
+                budget = sram_budget(geom, paper_hw)
+                assert r.sram_bytes == budget.kernel_sram_bytes + budget.line_buffer_bytes
+        dp2 = run_super_layer(None, None, alexnet.layers[1], paper_hw, StrategySet.all_on(),
+                              Phase.DP, prev_layer=alexnet.layers[0], compute=False)
+        assert dp2.sram_bytes == 683_520
