@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -83,6 +84,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _manifest(args) -> RunManifest:
+    if args.batch is not None and args.batch < 1:
+        raise ConfigError(f"--batch must be at least 1, got {args.batch}")
     net, hw = parse_configs(args.net, args.hw)
     return RunManifest(
         network=net,
@@ -341,7 +344,7 @@ def cmd_gradcheck(manifest: RunManifest, epsilon: float, corrupt: bool) -> int:
     return 1 if failures else 0
 
 
-def cmd_roofline(manifest: RunManifest, dram_points: list[float]) -> int:
+def cmd_roofline(manifest: RunManifest, dram: str) -> int:
     net = manifest.network
     word = manifest.hw.word_bytes
     ours = network_summary(net, manifest.phase, manifest.strategies, word).normalized_bw
@@ -349,7 +352,13 @@ def cmd_roofline(manifest: RunManifest, dram_points: list[float]) -> int:
     headers = ["work", "mb_per_gflop", "dram_gb_per_s", "attainable_gflop_per_s"]
     rows = []
     payload_points = []
-    for gbps in dram_points:
+    for tok in filter(str.strip, dram.split(",")):
+        try:
+            gbps = float(tok)
+        except ValueError:
+            gbps = math.nan
+        if not 0 <= gbps < math.inf:
+            raise ConfigError(f"--dram points must be finite and non-negative, got {tok.strip()!r}")
         for name, bw in works:
             attainable = roofline_attainable(bw, gbps * 1e9) if gbps > 0 else 0.0
             rows.append([name, bw, gbps, attainable / 1e9])
@@ -433,8 +442,7 @@ def main(argv=None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck(manifest, args.epsilon, args.corrupt_gradient)
         if args.command == "roofline":
-            points = [float(tok) for tok in args.dram.split(",") if tok.strip()]
-            return cmd_roofline(manifest, points)
+            return cmd_roofline(manifest, args.dram)
         parser.error(f"unknown command {args.command}")
     except (ConfigError, ShapeError, GradcheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,10 @@ per input map is a modular k x k bank grid, a shared window register,
 computational units sweeping co-located windows into an m-wide accumulator
 bank, and a fused rectifier/pooling engine. Produces functional outputs
 plus exact external word and cycle counters that must agree with the
-closed-form traffic model to the byte.
+closed-form traffic model to the byte. The outputs are bit-identical to the
+schedule run position by position and CU wave by CU wave in 32-bit
+arithmetic: a faster evaluation that reorders a float32 sum is a behaviour
+change, not a speed-up.
 
 One run covers one image of one group and scales its counters to the
 group count. Over a batch, streamed words and cycles add up image by image,
@@ -19,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .archmodel import HwConfig, sram_budget
 from .errors import ConfigError, ShapeError
@@ -104,18 +108,26 @@ class LineBuffer:
         self.fill_row(y_real + self.pad, values)
         self.external_reads += self.n_maps * used_cols
 
+    def band(self, r: int) -> np.ndarray:
+        """Padded rows r .. r+k-1 of all maps in window order: (n_maps, k, padded W)."""
+        rows = range(r, r + self.k)
+        for y in rows:
+            if self.row_ids[y % self.k] != y:
+                raise RuntimeError(f"window row {y} is not resident in the line buffer")
+        return self.rows[:, [y % self.k for y in rows]]
+
     def windows(self, r: int, c: int) -> np.ndarray:
         """The k x k windows of all maps anchored at padded (r, c), rows
         de-rotated to window order: shape (n_maps, k, k), one read per bank."""
-        k = self.k
-        perm = []
-        for y in range(r, r + k):
-            if self.row_ids[y % k] != y:
-                raise RuntimeError(f"window row {y} is not resident in the line buffer")
-            perm.append(y % k)
-        if c < 0 or c + k > self.rows.shape[2]:
-            raise RuntimeError(f"window columns [{c}, {c + k}) fall outside the bank grid")
-        return self.rows[:, perm, c : c + k]
+        if c < 0 or c + self.k > self.rows.shape[2]:
+            raise RuntimeError(f"window columns [{c}, {c + self.k}) fall outside the bank grid")
+        return self.band(r)[:, :, c : c + self.k]
+
+    def row_windows(self, r: int, stride: int) -> np.ndarray:
+        """All windows of the output row whose band starts at padded row r, at
+        column stride `stride`, as one contiguous (windows, n_maps, k, k) block."""
+        view = sliding_window_view(self.band(r), self.k, axis=2)[:, :, ::stride]
+        return np.ascontiguousarray(view.transpose(2, 0, 1, 3))
 
 
 @dataclass
@@ -297,15 +309,13 @@ def _conv_sweep(
                 else:
                     lb.fill_row(yp, None)
             admitted_until = band_top + k
+            block = lb.row_windows(band_top, s) if compute else None
         for c in range(wo):
             counters.input_words += per_position
             counters.cycles += m * waves
             counters.output_words += out_words_per_position
             if compute:
-                if use_lb:
-                    win = lb.windows(r * s, c * s)
-                else:
-                    win = xpad[:, r * s : r * s + k, c * s : c * s + k]
+                win = block[c] if use_lb else xpad[:, r * s : r * s + k, c * s : c * s + k]
                 acc.reset()
                 y[:, r, c] = accumulate_sweep(acc, win, kmat, hw.num_cu)
     if use_lb:
@@ -460,11 +470,12 @@ def run_super_layer(
             check_maps(delta, m, ho, wo, "delta")
             check_kernels(kers, conv)
             xpad = np.pad(x.astype(np.float32, copy=False), ((0, 0), (pad, pad), (pad, pad)))
-            # the kernel store in (map, tap) x output order, plus one
-            # preallocated outer-product buffer reused at every position
+            # the kernel store in (map, tap) x output order, one reused outer-product
+            # buffer, and contiguous (ho, wo, m) deltas so each product runs at unit
+            # stride (a strided delta operand keeps the multiply off the SIMD loop)
             store = np.zeros((n * k * k, m), dtype=np.float32)
             product = np.empty_like(store)
-            d_at = np.moveaxis(delta.astype(np.float32, copy=False), 0, -1)
+            d_at = np.ascontiguousarray(np.moveaxis(delta, 0, -1), dtype=np.float32)
         if strategies.line_buffer:
             # input maps stream through the line buffers exactly once
             counters.input_words += n * used_rows * used_cols

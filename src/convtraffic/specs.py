@@ -204,11 +204,6 @@ def check_kernels(ker: np.ndarray, spec: ConvSpec, name: str = "kernels") -> Non
         raise ShapeError(f"{name}: kernel side is {kh}x{kw}, expected {spec.k}x{spec.k}")
 
 
-def check_finite(x: np.ndarray, name: str = "tensor") -> None:
-    if not np.all(np.isfinite(x)):
-        raise ShapeError(f"{name} contains non-finite values")
-
-
 # ---------------------------------------------------------------------------
 # JSON-friendly (de)serialization. Field names double as the config schema.
 # ---------------------------------------------------------------------------

@@ -97,6 +97,12 @@ class TestSimulate:
         assert main(["simulate", "--net", "alexnet", "--layer", "9"]) == 2
         assert "1..5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("batch", ["0", "-1"])
+    def test_batch_below_one_rejected(self, capsys, batch):
+        assert main(["simulate", "--net", "alexnet", "--layer", "2", "--batch", batch]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --batch")
+
     def test_toy_identity_layer(self, tmp_path, capsys):
         doc = {
             "name": "echo", "batch": 1,
@@ -185,6 +191,14 @@ class TestRoofline:
         assert main(["roofline", "--net", "alexnet", "--dram", "0", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert all(p["attainable_flops"] == 0.0 for p in payload["points"])
+
+    @pytest.mark.parametrize("dram", ["abc", "nan", "inf", "-inf", "-5", "19.2,x"])
+    def test_bad_dram_point_rejected(self, capsys, dram):
+        assert main(["roofline", "--net", "alexnet", f"--dram={dram}"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --dram")
+        assert captured.out == ""
 
 
 class TestDeterminism:

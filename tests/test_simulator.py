@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from convtraffic.archmodel import sram_budget
+from convtraffic.archmodel import cycle_count, sram_budget
 from convtraffic.errors import ConfigError
 from convtraffic.reference import conv_forward, super_forward
 from convtraffic.simulator import (
     AccumulatorBank,
     LineBuffer,
+    _pool_transpose_gather,
     accumulate_sweep,
     bank_route,
     kernel_matrix,
@@ -79,6 +80,19 @@ class TestBankGrid:
         lb.fill_row(2, np.zeros((1, 4), dtype=np.float32))  # evicts row 0
         with pytest.raises(RuntimeError, match="not resident"):
             lb.windows(0, 0)
+
+    def test_band_matches_direct_slice_after_recycling(self):
+        rng = np.random.default_rng(8)
+        data = rng.standard_normal((3, 7, 6)).astype(np.float32)
+        lb = LineBuffer(3, 3, 6)
+        for y in range(5):  # rows 3 and 4 recycle the banks of rows 0 and 1
+            lb.fill_row(y, data[:, y])
+        assert np.array_equal(lb.band(2), data[:, 2:5])
+        block = lb.row_windows(2, stride=2)  # windows at columns 0 and 2
+        assert block.flags.c_contiguous
+        assert np.array_equal(block, np.stack([data[:, 2:5, c : c + 3] for c in (0, 2)]))
+        with pytest.raises(RuntimeError, match="not resident"):
+            lb.band(1)
 
 
 class TestLineBuffer:
@@ -342,6 +356,25 @@ class TestSimulatorAgainstModel:
         assert check.model_match, check.model_mismatch
         assert check.sim_traffic.kernel_bytes == 2_654_208
 
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_cycles_match_cycle_count_every_pair(self, alexnet, paper_hw, batch):
+        # delta propagation runs, and is timed, on the transposed geometry
+        pairs = 0
+        for index, layer in enumerate(alexnet.layers):
+            phases = [Phase.FP, Phase.KU]
+            if index > 0 and layer.conv.stride == 1:
+                phases.append(Phase.DP)
+            for phase in phases:
+                check = simulate_layer(
+                    alexnet, index, phase, StrategySet.all_on(), paper_hw,
+                    seed=0, batch=batch, compute=False,
+                )
+                geom = transpose_geometry(layer) if phase is Phase.DP else layer
+                want = cycle_count(geom, paper_hw, batch) * alexnet.groups[index]
+                assert check.cycles == want, (index, phase)
+                pairs += 1
+        assert pairs == 14
+
     def test_sram_matches_budget_every_phase(self, alexnet, paper_hw):
         # delta propagation is sized on the transposed geometry
         for index, layer in enumerate(alexnet.layers):
@@ -360,3 +393,97 @@ class TestSimulatorAgainstModel:
         dp2 = run_super_layer(None, None, alexnet.layers[1], paper_hw, StrategySet.all_on(),
                               Phase.DP, prev_layer=alexnet.layers[0], compute=False)
         assert dp2.sram_bytes == 683_520
+
+
+def _oracle_conv(x, kers, conv, num_cu):
+    """The conv schedule as a plain loop: per position a contiguous copy of
+    the window, then one 32-bit dot per CU wave, added wave by wave."""
+    n, m, k, s, pad = conv.n, conv.m, conv.k, conv.stride, conv.pad
+    xpad = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    kmat = np.ascontiguousarray(kers.transpose(0, 2, 3, 1)).reshape(n * k * k, m)
+    ho, wo = conv.out_dims(x.shape[1], x.shape[2])
+    y = np.zeros((m, ho, wo), np.float32)
+    for r in range(ho):
+        for c in range(wo):
+            taps = np.ascontiguousarray(xpad[:, r * s : r * s + k, c * s : c * s + k]).reshape(-1)
+            acc = np.zeros(m, np.float32)
+            for start in range(0, n, num_cu):
+                wave = slice(start * k * k, min(start + num_cu, n) * k * k)
+                acc += taps[wave] @ kmat[wave]
+            y[:, r, c] = acc
+    return y
+
+
+def _oracle_ku(x, delta, conv):
+    """Kernel update as a plain loop: one outer product per position, added
+    to the kernel store position by position."""
+    n, m, k, s, pad = conv.n, conv.m, conv.k, conv.stride, conv.pad
+    xpad = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    store = np.zeros((n * k * k, m), np.float32)
+    for r in range(delta.shape[1]):
+        for c in range(delta.shape[2]):
+            window = xpad[:, r * s : r * s + k, c * s : c * s + k].reshape(-1, 1)
+            store += window * delta[:, r, c]
+    return store.reshape(n, k, k, m).transpose(0, 3, 1, 2)
+
+
+# (name, previous layer or None, layer, CUs): stride 2 with pad 1 on a
+# non-square map; k = 1; 6 maps on 4 CUs, so the last wave is partial in FP,
+# DP and KU alike; delta propagation behind a pooled, rectified layer.
+_SCHEDULE_CASES = [
+    ("stride2-pad1", None,
+     SuperLayerSpec(ConvSpec(3, 4, 3, stride=2, pad=1), 7, 10, True, None), 16),
+    ("k1", SuperLayerSpec(ConvSpec(2, 3, 1), 5, 4, True, None),
+     SuperLayerSpec(ConvSpec(3, 2, 1), 5, 4, True, None), 2),
+    ("partial-wave", SuperLayerSpec(ConvSpec(2, 6, 3, pad=1), 6, 5, False, None),
+     SuperLayerSpec(ConvSpec(6, 6, 3, pad=1), 6, 5, True, None), 4),
+    ("behind-pool", SuperLayerSpec(ConvSpec(2, 3, 3, pad=1), 8, 8, True, PoolSpec(2, 2)),
+     SuperLayerSpec(ConvSpec(3, 4, 3, pad=1), 4, 4, True, None), 16),
+]
+
+
+class TestScheduleOrder:
+    """The datapath is bit-identical to the per-position, per-wave schedule.
+
+    A faster evaluation that reorders a float32 sum fails here even when it
+    stays within the reference bound."""
+
+    @pytest.mark.parametrize("case", _SCHEDULE_CASES, ids=lambda c: c[0])
+    @pytest.mark.parametrize("prefix", [4, 5])
+    def test_fp_and_dp_follow_the_schedule(self, paper_hw, case, prefix):
+        _, prev, layer, num_cu = case
+        hw = paper_hw.with_(num_cu=num_cu)
+        conv = layer.conv
+        rng = np.random.default_rng(prefix)
+        x = rng.standard_normal((conv.n, layer.input_h, layer.input_w)).astype(np.float32)
+        kers = rng.standard_normal((conv.n, conv.m, conv.k, conv.k)).astype(np.float32)
+        r = run_super_layer(x, kers, layer, hw, StrategySet.first(prefix), Phase.FP)
+        assert np.array_equal(r.pre_act, _oracle_conv(x, kers, conv, num_cu))
+        if prev is None:
+            return
+        ho, wo = layer.conv_out_dims()
+        d = rng.standard_normal((conv.m, ho, wo)).astype(np.float32)
+        prev_h, prev_w = prev.conv_out_dims()
+        prev_pre = rng.standard_normal((conv.n, prev_h, prev_w)).astype(np.float32)
+        r = run_super_layer(d, kers, layer, hw, StrategySet.first(prefix), Phase.DP,
+                            prev_layer=prev, prev_pre_act=prev_pre)
+        tkers = np.transpose(kers[:, :, ::-1, ::-1], (1, 0, 2, 3))
+        want = _oracle_conv(d, tkers, transpose_geometry(layer).conv, num_cu)
+        if prev.pool is not None:
+            want = _pool_transpose_gather(want, prev.pool, prev_h, prev_w)
+        if prev.has_act:
+            want = want * (prev_pre > 0).astype(np.float32)
+        assert np.array_equal(r.outputs, want)
+
+    @pytest.mark.parametrize("case", _SCHEDULE_CASES, ids=lambda c: c[0])
+    @pytest.mark.parametrize("prefix", range(6))
+    def test_ku_follows_the_schedule(self, paper_hw, case, prefix):
+        _, _, layer, num_cu = case
+        conv = layer.conv
+        rng = np.random.default_rng(prefix)
+        x = rng.standard_normal((conv.n, layer.input_h, layer.input_w)).astype(np.float32)
+        kers = rng.standard_normal((conv.n, conv.m, conv.k, conv.k)).astype(np.float32)
+        delta = rng.standard_normal((conv.m, *layer.conv_out_dims())).astype(np.float32)
+        r = run_super_layer(x, kers, layer, paper_hw.with_(num_cu=num_cu),
+                            StrategySet.first(prefix), Phase.KU, delta=delta)
+        assert np.array_equal(r.grad, _oracle_ku(x, delta, conv))
