@@ -27,11 +27,9 @@ from .reference import (
     super_forward,
 )
 from .simulator import (
-    AccumulatorBank,
     LineBuffer,
     SimResult,
-    accumulate_sweep,
-    bank_route,
+    accumulate_row,
     kernel_matrix,
     pool_engine_schedule,
     run_super_layer,

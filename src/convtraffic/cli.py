@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -60,13 +60,22 @@ def load_hw(source: str) -> HwConfig:
         return presets.hw_preset(source)
     with open(source, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    known = {f for f in HwConfig.__dataclass_fields__}
-    unknown = set(doc) - known
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a hardware document must be an object, got {type(doc).__name__}")
+    known = {f.name: f.type for f in fields(HwConfig)}
+    unknown = set(doc) - set(known)
     if unknown:
         raise ConfigError(f"unknown hardware keys: {', '.join(sorted(unknown))}")
-    missing = known - set(doc)
+    missing = set(known) - set(doc)
     if missing:
         raise ConfigError(f"missing hardware keys: {', '.join(sorted(missing))}")
+    for key, kind in known.items():
+        v = doc[key]
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        if kind in ("int", int) and not (number and isinstance(v, int)):
+            raise ConfigError(f"hardware key '{key}' must be an integer, got {v!r}")
+        if not (number and math.isfinite(v)):
+            raise ConfigError(f"hardware key '{key}' must be a finite number, got {v!r}")
     return HwConfig(**doc)
 
 

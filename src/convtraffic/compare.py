@@ -22,7 +22,7 @@ from .traffic import (
     super_traffic,
 )
 
-WORD = 4
+WORD = presets.paper_hw().word_bytes
 
 # Default tolerances: table values absorb 3-significant-figure rounding,
 # figure readouts 2%, the absolute throughput model 10%.
@@ -269,6 +269,28 @@ def rows_peak() -> list[ComparisonRow]:
     ]
 
 
+def rows_abstract() -> list[ComparisonRow]:
+    """The abstract's two relative claims, derived rather than echoed."""
+    fp = network_summary(presets.alexnet(), Phase.FP, StrategySet.all_on(), WORD)
+    mobile = next(flops for name, _, flops in presets.PRIOR_WORKS if name == "mobile coprocessor")
+    return [
+        ComparisonRow(
+            "FP total BW reduction vs 16-bit comparison total",
+            presets.ABSTRACT_BW_REDUCTION,
+            1.0 - fp.normalized_bw / presets.TABLE3_EYERISS[-1],
+            TOL_TABLE,
+            "abstract, from Table 3",
+        ),
+        ComparisonRow(
+            "extended-board throughput vs mobile coprocessor (ratio)",
+            presets.ABSTRACT_THROUGHPUT_RATIO,
+            presets.REPORTED_THROUGHPUT_EXTENDED_FLOPS / mobile,
+            TOL_TABLE,
+            "abstract, from Fig. 13 and Table 4",
+        ),
+    ]
+
+
 def rows_constants() -> list[ComparisonRow]:
     """Reported-only constants echoed for reference; never modeled."""
     rows = [
@@ -325,6 +347,7 @@ PRESET_BUILDERS = {
     "reconfig": rows_reconfig,
     "efficiency": rows_efficiency,
     "peak": rows_peak,
+    "abstract": rows_abstract,
     "constants": rows_constants,
 }
 

@@ -143,6 +143,12 @@ EFFICIENCY_CONTROLLED_MULTISET = (1.0, 1.0, 0.889)
 REPORTED_THROUGHPUT_FLOPS = 113e9
 REPORTED_THROUGHPUT_EXTENDED_FLOPS = 1244e9
 
+# The abstract's relative claims: forward-propagation bandwidth 55 % lower
+# than the 16-bit comparison column's total, and extended-board throughput
+# 5.48 times that of the mobile coprocessor in PRIOR_WORKS.
+ABSTRACT_BW_REDUCTION = 0.55
+ABSTRACT_THROUGHPUT_RATIO = 5.48
+
 # Prior-work normalized bandwidths (MB/Gop) and throughputs for the
 # roofline ordering check, Table 4.
 PRIOR_WORKS = (

@@ -5,10 +5,12 @@ per input map is a modular k x k bank grid, a shared window register,
 computational units sweeping co-located windows into an m-wide accumulator
 bank, and a fused rectifier/pooling engine. Produces functional outputs
 plus exact external word and cycle counters that must agree with the
-closed-form traffic model to the byte. The outputs are bit-identical to the
-schedule run position by position and CU wave by CU wave in 32-bit
-arithmetic: a faster evaluation that reorders a float32 sum is a behaviour
-change, not a speed-up.
+closed-form traffic model to the byte. With the line buffer (prefixes 1-4
+and all) every output row is evaluated at once, one stacked matmul per CU
+wave; without it (prefixes none to 1-3) each window is evaluated alone. Both
+give the same bits as the schedule run position by position and CU wave by
+CU wave in 32-bit arithmetic: a faster evaluation that reorders a float32
+sum is a behaviour change, not a speed-up.
 
 One run covers one image of one group and scales its counters to the
 group count. Over a batch, streamed words and cycles add up image by image,
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,15 +39,8 @@ from .traffic import (
 )
 
 
-def bank_route(row: int, col: int, k: int) -> tuple[int, int]:
-    """Bank coordinates holding element (row, col): plain modular placement."""
-    if k < 1:
-        raise ConfigError(f"bank grid side must be positive, got {k}")
-    return row % k, col % k
-
-
 class LineBuffer:
-    """The k most recent rows of every input map, fed one element per shift.
+    """The k most recent rows of every input map, fed one row at a time.
 
     All maps share one (n_maps, k, padded_width) array: map i's k x k bank
     grid is rows[i]. Row y sits in bank row y % k; the column coordinate maps
@@ -60,30 +55,10 @@ class LineBuffer:
     def __init__(self, n_maps: int, k: int, width: int, pad: int = 0, dtype=np.float32):
         self.n_maps = n_maps
         self.k = k
-        self.width = width
         self.pad = pad
         self.rows = np.zeros((n_maps, k, width + 2 * pad), dtype=dtype)
         self.row_ids = [-1] * k  # padded row held by each bank row, -1 when empty
         self.external_reads = 0
-        self._cursor = [(0, 0)] * n_maps  # next expected (row, col) per map
-
-    def push(self, map_index: int, value, at: tuple[int, int] | None = None) -> bool:
-        """Admit one element in row-major order; returns True when the write
-        landed in a bank row that was recycled from an older image row."""
-        row, col = self._cursor[map_index]
-        if at is not None and at != (row, col):
-            raise RuntimeError(
-                f"out-of-order arrival: expected element {(row, col)}, got {at}"
-            )
-        phys = (row + self.pad) % self.k
-        if col == 0:
-            self.rows[map_index, phys] = 0.0
-            self.row_ids[phys] = row + self.pad
-        self.rows[map_index, phys, self.pad + col] = value
-        self.external_reads += 1
-        col += 1
-        self._cursor[map_index] = (row, col) if col < self.width else (row + 1, 0)
-        return row >= self.k
 
     def fill_row(self, y_padded: int, values: np.ndarray | None) -> None:
         """Install padded row y in every map, evicting what its bank row held.
@@ -104,7 +79,7 @@ class LineBuffer:
         self.row_ids[phys] = y_padded
 
     def admit_row(self, y_real: int, values: np.ndarray | None, used_cols: int) -> None:
-        """Admit one full real row across all maps at once (schedule fast path)."""
+        """Admit one real row across all maps, one external read per used column."""
         self.fill_row(y_real + self.pad, values)
         self.external_reads += self.n_maps * used_cols
 
@@ -130,24 +105,6 @@ class LineBuffer:
         return np.ascontiguousarray(view.transpose(2, 0, 1, 3))
 
 
-@dataclass
-class AccumulatorBank:
-    """m partial sums held in 32-bit registers across one input-map sweep."""
-
-    m: int
-    values: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.values = np.zeros(self.m, dtype=np.float32)
-
-    def reset(self) -> None:
-        self.values[:] = 0.0
-
-    @property
-    def capacity_bits(self) -> int:
-        return 32 * self.m
-
-
 def kernel_matrix(kers: np.ndarray) -> np.ndarray:
     """Kernels (n, m, k, k) laid out once per sweep as an (n*k*k, m) matrix
     whose rows follow the (map, tap) order of a flattened window stack."""
@@ -156,25 +113,22 @@ def kernel_matrix(kers: np.ndarray) -> np.ndarray:
     return laid_out.reshape(n * k * k, m)
 
 
-def accumulate_sweep(
-    acc: AccumulatorBank, windows: np.ndarray, kmat: np.ndarray, num_cu: int
-) -> np.ndarray:
-    """Sweep co-located windows in CU-sized waves, accumulating all m outputs.
+def accumulate_row(block: np.ndarray, kmat: np.ndarray, num_cu: int) -> np.ndarray:
+    """Sweep a (positions, n, k, k) window block in CU-sized waves against the
+    (n*k*k, m) kernel_matrix; returns each position's m outputs, (positions, m).
 
-    windows: (n, k, k) of the current co-located position; kmat: the
-    (n*k*k, m) kernel_matrix. Each wave of up to num_cu maps adds one dot
-    product into the accumulator. The accumulator must be clear when the
-    sweep starts; the m results are streamed out exactly once afterwards.
+    Every position owns a cleared 32-bit accumulator bank and each wave of up
+    to num_cu maps adds one dot into it. The stacked matmul runs the same dot
+    per position as a lone window would, so every sum keeps its order.
     """
-    if np.any(acc.values):
-        raise RuntimeError("accumulator bank not cleared at sweep start")
-    n = windows.shape[0]
-    taps = windows.reshape(-1)
-    per_map = taps.shape[0] // n
+    positions, n = block.shape[:2]
+    taps = block.reshape(positions, 1, -1)
+    per_map = taps.shape[2] // n
+    acc = np.zeros((positions, kmat.shape[1]), dtype=np.float32)
     for start in range(0, n, num_cu):
         wave = slice(start * per_map, min(start + num_cu, n) * per_map)
-        acc.values += taps[wave] @ kmat[wave]
-    return acc.values.copy()
+        acc += (taps[:, :, wave] @ kmat[wave])[:, 0]
+    return acc
 
 
 def pool_engine_schedule(
@@ -288,7 +242,6 @@ def _conv_sweep(
         xpad = np.pad(x.astype(np.float32, copy=False), ((0, 0), (pad, pad), (pad, pad)))
         kmat = kernel_matrix(kers)
     lb = LineBuffer(n, k, in_w, pad=pad) if use_lb else None
-    acc = AccumulatorBank(m) if compute else None
     y = np.zeros((m, ho, wo), dtype=np.float32) if compute else None
 
     admitted_until = 0  # first padded row index not yet installed
@@ -309,15 +262,17 @@ def _conv_sweep(
                 else:
                     lb.fill_row(yp, None)
             admitted_until = band_top + k
-            block = lb.row_windows(band_top, s) if compute else None
+            if compute:
+                # the line buffer holds the whole row's windows: one sweep per row
+                y[:, r, :] = accumulate_row(lb.row_windows(band_top, s), kmat, hw.num_cu).T
         for c in range(wo):
             counters.input_words += per_position
             counters.cycles += m * waves
             counters.output_words += out_words_per_position
-            if compute:
-                win = block[c] if use_lb else xpad[:, r * s : r * s + k, c * s : c * s + k]
-                acc.reset()
-                y[:, r, c] = accumulate_sweep(acc, win, kmat, hw.num_cu)
+            if compute and not use_lb:
+                # without it, each window streams in alone, straight from the maps
+                win = xpad[None, :, r * s : r * s + k, c * s : c * s + k]
+                y[:, r, c] = accumulate_row(win, kmat, hw.num_cu)[0]
     if use_lb:
         counters.input_words += lb.external_reads
     if strategies.kernels_on_chip and count_outputs:

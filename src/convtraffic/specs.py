@@ -236,6 +236,8 @@ def network_to_dict(net: NetworkSpec) -> dict:
 
 
 def _require(d: dict, key: str, path: str):
+    if not isinstance(d, dict):
+        raise ShapeError(f"'{path}' must be an object, got {d!r}")
     if key not in d:
         raise ShapeError(f"missing required key '{path}.{key}'")
     return d[key]
@@ -249,9 +251,13 @@ def _int_at(d: dict, key: str, path: str) -> int:
 
 
 def network_from_dict(doc: dict) -> NetworkSpec:
+    if not isinstance(doc, dict):
+        raise ShapeError(f"a network document must be an object, got {type(doc).__name__}")
     name = doc.get("name", "unnamed")
     batch = _int_at(doc, "batch", "")
     raw_layers = _require(doc, "layers", "")
+    if not isinstance(raw_layers, list):
+        raise ShapeError(f"key '.layers' must be a list, got {raw_layers!r}")
     layers: list[SuperLayerSpec] = []
     groups: list[int] = []
     prev_dims: tuple[int, int] | None = None
@@ -279,14 +285,17 @@ def network_from_dict(doc: dict) -> NetworkSpec:
                 p=_int_at(pool_doc, "p", f"{path}.pool"),
                 stride=_int_at(pool_doc, "stride", f"{path}.pool"),
             )
+        has_act = entry.get("act", True)
+        if not isinstance(has_act, bool):
+            raise ShapeError(f"key '{path}.act' must be true or false, got {has_act!r}")
         layer = SuperLayerSpec(
             conv=conv,
             input_h=in_h,
             input_w=in_w,
-            has_act=bool(entry.get("act", True)),
+            has_act=has_act,
             pool=pool,
         )
         layers.append(layer)
-        groups.append(int(entry.get("groups", 1)))
+        groups.append(_int_at(entry, "groups", path) if "groups" in entry else 1)
         prev_dims = layer.out_dims()
     return NetworkSpec(name=name, batch=batch, layers=tuple(layers), groups=tuple(groups))

@@ -83,13 +83,11 @@ class StrategySet:
         if text == "all":
             return cls.all_on()
         chosen: set[int] = set()
-        for token in text.split(","):
-            token = token.strip()
-            if "-" in token:
-                lo, hi = token.split("-", 1)
-                chosen.update(range(int(lo), int(hi) + 1))
-            elif token:
-                chosen.add(int(token))
+        for token in filter(None, (t.strip() for t in text.split(","))):
+            bounds = [b.strip() for b in token.split("-", 1)]
+            if not all(b.isdecimal() for b in bounds) or int(bounds[0]) > int(bounds[-1]):
+                raise ConfigError(f"strategies must be 'none', 'all', '1,2,4' or '1-3', got '{text}'")
+            chosen.update(range(int(bounds[0]), int(bounds[-1]) + 1))
         if not chosen <= {1, 2, 3, 4, 5}:
             raise ConfigError(f"strategies must be within 1-5, got '{text}'")
         flags = [i + 1 in chosen for i in range(5)]

@@ -76,6 +76,54 @@ class TestAnalyze:
     def test_usage_error_exit_2(self, capsys):
         assert main(["analyze", "--net", "alexnet", "--strategies", "7"]) == 2
 
+    @pytest.mark.parametrize("text", ["9-x", "3-1"])
+    def test_malformed_strategies_rejected(self, capsys, text):
+        assert main(["analyze", "--net", "alexnet", "--strategies", text]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: strategies")
+
+
+def _toy2_with(**first_layer):
+    doc = network_to_dict(presets.toy2())
+    doc["layers"][0].update(first_layer)
+    return doc
+
+
+class TestFrontDoor:
+    """Malformed configuration files exit 2 with exactly one error line."""
+
+    @pytest.mark.parametrize(
+        "doc, needle",
+        [([_toy2_with()], "must be an object"), (_toy2_with(groups="x"), "layers[0].groups"),
+         (_toy2_with(act="no"), "layers[0].act")],
+        ids=["top-level-list", "groups-text", "act-text"],
+    )
+    def test_bad_network_document(self, tmp_path, capsys, doc, needle):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--net", str(path)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "key, value", [("num_cu", "16"), ("clock_hz", float("nan"))], ids=["num-cu-text", "clock-nan"]
+    )
+    def test_bad_hardware_document(self, tmp_path, capsys, key, value):
+        doc = presets.paper_hw().to_dict()
+        doc[key] = value
+        path = tmp_path / "hw.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--net", "toy2", "--hw", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: hardware key '{key}'")
+
+    def test_hardware_document_round_trip(self, tmp_path):
+        path = tmp_path / "hw.json"
+        path.write_text(json.dumps(presets.paper_hw().to_dict()))
+        assert parse_configs("toy2", str(path))[1] == presets.paper_hw()
+
 
 class TestSimulate:
     def test_layer2_checks_pass(self, capsys):
@@ -124,7 +172,7 @@ class TestSimulate:
 class TestCompare:
     @pytest.mark.parametrize("preset", ["table1", "cascade", "fig6", "table3-fp",
                                         "table3-dp", "table3-ops", "fig14",
-                                        "reconfig", "efficiency", "peak"])
+                                        "reconfig", "efficiency", "peak", "abstract"])
     def test_presets_pass(self, preset, capsys):
         assert main(["compare", preset, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -137,6 +185,13 @@ class TestCompare:
         payload = json.loads(capsys.readouterr().out)
         failing = [row["metric"] for row in payload["rows"] if not row["pass"]]
         assert failing == ["total normalized BW, ku (MB/GFlop)"]
+
+    def test_all_fails_on_exactly_the_ku_total(self, capsys):
+        assert main(["compare", "all", "--format", "json"]) == 1
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["metric"] for r in rows if not r["pass"]] == ["total normalized BW, ku (MB/GFlop)"]
+        derived = [r["computed_value"] for r in rows if r["note"].startswith("abstract")]
+        assert [round(v, 4) for v in derived] == [0.5499, 5.4802]
 
     def test_zero_tolerance_fails_on_rounding(self, capsys):
         assert main(["compare", "table3-fp", "--tolerance", "0"]) == 1
