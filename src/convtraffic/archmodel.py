@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
-from .specs import SuperLayerSpec
+from .specs import ConvSpec, SuperLayerSpec
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,21 @@ class HwConfig:
                 raise ConfigError(f"{name} must be positive, got {v}")
         if self.bitstream_bytes < 0:
             raise ConfigError(f"bitstream_bytes must be non-negative, got {self.bitstream_bytes}")
+
+    def check_fits(self, conv: ConvSpec) -> None:
+        """Raise ConfigError naming the budget and the limit a conv stage exceeds."""
+        if conv.k > self.max_k:
+            raise ConfigError(
+                f"kernel side {conv.k} exceeds the window-register budget (max_k={self.max_k})"
+            )
+        if conv.n > self.max_n:
+            raise ConfigError(
+                f"{conv.n} input maps exceed the index-range budget (max_n={self.max_n})"
+            )
+        if conv.m > self.max_m:
+            raise ConfigError(
+                f"{conv.m} output maps exceed the accumulator budget (max_m={self.max_m})"
+            )
 
     def with_(self, **kwargs) -> "HwConfig":
         return replace(self, **kwargs)
@@ -114,10 +129,7 @@ def cycle_count(layer: SuperLayerSpec, hw: HwConfig, batch: int) -> int:
     """Cycles for the conv stage of one group: every output position sweeps
     all input maps in ceil(n/num_cu) waves for each of the m outputs."""
     conv = layer.conv
-    if conv.n > hw.max_n:
-        raise ConfigError(f"{conv.n} input maps exceed supported max_n={hw.max_n}")
-    if conv.m > hw.max_m:
-        raise ConfigError(f"{conv.m} output maps exceed supported max_m={hw.max_m}")
+    hw.check_fits(conv)
     ho, wo = layer.conv_out_dims()
     return ho * wo * conv.m * math.ceil(conv.n / hw.num_cu) * batch
 
@@ -130,10 +142,7 @@ def logic_efficiency(layer: SuperLayerSpec, hw: HwConfig) -> EfficiencyReport:
     only waste left is the ceil over CU waves.
     """
     conv = layer.conv
-    if conv.n > hw.max_n or conv.m > hw.max_m:
-        raise ConfigError(
-            f"layer {conv.n}x{conv.m} maps exceed design {hw.max_n}x{hw.max_m}"
-        )
+    hw.check_fits(conv)
     naive = (conv.n * conv.m) / (hw.max_n * hw.max_m)
     waves = math.ceil(conv.n / hw.num_cu)
     controlled = conv.n / (waves * hw.num_cu)
@@ -145,12 +154,7 @@ def sram_budget(layer: SuperLayerSpec, hw: HwConfig) -> BudgetReport:
     buffers across all input maps, the shared window register per CU and
     the m-output accumulator bank."""
     conv = layer.conv
-    if conv.k > hw.max_k:
-        raise ConfigError(f"kernel side {conv.k} exceeds supported max_k={hw.max_k}")
-    if conv.n > hw.max_n:
-        raise ConfigError(f"{conv.n} input maps exceed supported max_n={hw.max_n}")
-    if conv.m > hw.max_m:
-        raise ConfigError(f"{conv.m} output maps exceed supported max_m={hw.max_m}")
+    hw.check_fits(conv)
     return BudgetReport(
         kernel_sram_bytes=conv.n * conv.m * conv.k**2 * hw.word_bytes,
         line_buffer_bytes=conv.n * conv.k * layer.input_w * hw.word_bytes,

@@ -47,19 +47,25 @@ class RunManifest:
     out: str | None
 
 
+def _read_json(path: str):
+    """Parse a UTF-8 JSON document; any other encoding is a configuration error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def load_network(source: str) -> NetworkSpec:
     if source in presets.NETWORK_PRESETS:
         return presets.network_preset(source)
-    with open(source, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return network_from_dict(doc)
+    return network_from_dict(_read_json(source))
 
 
 def load_hw(source: str) -> HwConfig:
     if source in presets.HW_PRESETS:
         return presets.hw_preset(source)
-    with open(source, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(source)
     if not isinstance(doc, dict):
         raise ConfigError(f"a hardware document must be an object, got {type(doc).__name__}")
     known = {f.name: f.type for f in fields(HwConfig)}
@@ -95,6 +101,8 @@ def _emit(text: str, out: str | None) -> None:
 def _manifest(args) -> RunManifest:
     if args.batch is not None and args.batch < 1:
         raise ConfigError(f"--batch must be at least 1, got {args.batch}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     net, hw = parse_configs(args.net, args.hw)
     return RunManifest(
         network=net,

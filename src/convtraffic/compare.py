@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from . import presets
 from .archmodel import (
     logic_efficiency,
@@ -362,6 +364,8 @@ def comparison_rows(preset: str, tolerance: float | None = None) -> list[Compari
     else:
         known = ", ".join(sorted(PRESET_BUILDERS) + ["all"])
         raise ConfigError(f"unknown comparison preset '{preset}'; available: {known}")
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ConfigError(f"tolerance must be a finite non-negative number, got {tolerance}")
     rows: list[ComparisonRow] = []
     for name in names:
         rows.extend(PRESET_BUILDERS[name]())

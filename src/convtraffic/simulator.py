@@ -5,12 +5,13 @@ per input map is a modular k x k bank grid, a shared window register,
 computational units sweeping co-located windows into an m-wide accumulator
 bank, and a fused rectifier/pooling engine. Produces functional outputs
 plus exact external word and cycle counters that must agree with the
-closed-form traffic model to the byte. With the line buffer (prefixes 1-4
-and all) every output row is evaluated at once, one stacked matmul per CU
-wave; without it (prefixes none to 1-3) each window is evaluated alone. Both
-give the same bits as the schedule run position by position and CU wave by
-CU wave in 32-bit arithmetic: a faster evaluation that reorders a float32
-sum is a behaviour change, not a speed-up.
+closed-form traffic model to the byte. One walker serves FP, DP and KU:
+every prefix evaluates one contiguous block of each output row's windows,
+from the line buffer or straight from the maps, so strategies change
+counters, never bits. FP and DP run one stacked matmul per CU wave over the
+row and give the same bits as the schedule run position by position and CU
+wave by CU wave in 32-bit arithmetic: a faster evaluation that reorders a
+float32 sum is a behaviour change, not a speed-up.
 
 One run covers one image of one group and scales its counters to the
 group count. Over a batch, streamed words and cycles add up image by image,
@@ -24,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .archmodel import HwConfig, sram_budget
 from .errors import ConfigError, ShapeError
@@ -91,18 +92,14 @@ class LineBuffer:
                 raise RuntimeError(f"window row {y} is not resident in the line buffer")
         return self.rows[:, [y % self.k for y in rows]]
 
-    def windows(self, r: int, c: int) -> np.ndarray:
-        """The k x k windows of all maps anchored at padded (r, c), rows
-        de-rotated to window order: shape (n_maps, k, k), one read per bank."""
-        if c < 0 or c + self.k > self.rows.shape[2]:
-            raise RuntimeError(f"window columns [{c}, {c + self.k}) fall outside the bank grid")
-        return self.band(r)[:, :, c : c + self.k]
 
-    def row_windows(self, r: int, stride: int) -> np.ndarray:
-        """All windows of the output row whose band starts at padded row r, at
-        column stride `stride`, as one contiguous (windows, n_maps, k, k) block."""
-        view = sliding_window_view(self.band(r), self.k, axis=2)[:, :, ::stride]
-        return np.ascontiguousarray(view.transpose(2, 0, 1, 3))
+def band_windows(band: np.ndarray, stride: int) -> np.ndarray:
+    """Every k x k window of an (n_maps, k, padded W) band at column stride
+    `stride`, as one contiguous (windows, n_maps, k, k) block."""
+    n, k, width = band.shape
+    step = band.strides[2]
+    windows = as_strided(band, ((width - k) // stride + 1, n, k, k), (step * stride, *band.strides))
+    return windows.copy()
 
 
 def kernel_matrix(kers: np.ndarray) -> np.ndarray:
@@ -179,28 +176,6 @@ class _Counters:
         self.writes: Counter | None = Counter() if trace else None
 
 
-def _check_capacity(conv: ConvSpec, hw: HwConfig, strategies: StrategySet) -> None:
-    if conv.k > hw.max_k:
-        raise ConfigError(
-            f"kernel side {conv.k} exceeds the window-register budget (max_k={hw.max_k})"
-        )
-    if conv.n > hw.max_n:
-        raise ConfigError(
-            f"{conv.n} input maps exceed the index-range budget (max_n={hw.max_n})"
-        )
-    if conv.m > hw.max_m:
-        raise ConfigError(
-            f"{conv.m} output maps exceed the accumulator budget (max_m={hw.max_m})"
-        )
-    if strategies.kernels_on_chip:
-        need = conv.n * conv.m * conv.k**2 * hw.word_bytes
-        cap = hw.max_n * hw.max_m * hw.max_k**2 * hw.word_bytes
-        if need > cap:
-            raise ConfigError(
-                f"kernel set of {need} B exceeds the kernel-store budget ({cap} B)"
-            )
-
-
 def _position_operand_words(strategies: StrategySet, n: int, m: int, k: int) -> int:
     """External operand words one co-located sweep consumes.
 
@@ -225,66 +200,88 @@ def _conv_sweep(
     hw: HwConfig,
     strategies: StrategySet,
     counters: _Counters,
-    compute: bool,
-    count_outputs: bool,
-    trace_tag: str | None,
+    phase: Phase,
+    delta: np.ndarray | None = None,
 ) -> np.ndarray | None:
-    """Walk the conv-stage schedule; returns the conv result when computing."""
+    """Walk the conv-stage schedule row by row, for every phase and strategy set.
+
+    Each output row gathers its windows into one contiguous block, from the
+    line buffer when it is on and straight from the maps when it is off, so
+    the strategies change what is counted, never what is computed. FP and DP
+    sweep the block against the kernels and return the conv result; KU adds
+    each position's window x delta outer product to the kernel store, in
+    position order, and returns the gradient. x None counts only.
+    """
     n, m, k, s, pad = conv.n, conv.m, conv.k, conv.stride, conv.pad
     ho, wo = conv.out_dims(in_h, in_w)
     used_rows = used_extent(in_h, k, s, pad)
     used_cols = used_extent(in_w, k, s, pad)
-    waves = math.ceil(n / hw.num_cu)
-    use_lb = strategies.line_buffer
+    fused = strategies.fused_super_layer
+    kernel_update = phase is Phase.KU
+    trace_tag = "d" if phase is Phase.DP else "x"  # the map streaming through the line buffer
+    lb = LineBuffer(n, k, in_w, pad=pad) if strategies.line_buffer else None
 
-    xpad = kmat = None
-    if compute:
+    if x is not None:
         xpad = np.pad(x.astype(np.float32, copy=False), ((0, 0), (pad, pad), (pad, pad)))
-        kmat = kernel_matrix(kers)
-    lb = LineBuffer(n, k, in_w, pad=pad) if use_lb else None
-    y = np.zeros((m, ho, wo), dtype=np.float32) if compute else None
+        if kernel_update:
+            # the kernel store in (map, tap) x output order, one reused outer-product
+            # buffer, and contiguous (ho, wo, m) deltas so each product runs at unit
+            # stride (a strided delta operand keeps the multiply off the SIMD loop)
+            store = np.zeros((n * k * k, m), dtype=np.float32)
+            product = np.empty_like(store)
+            d_at = np.ascontiguousarray(np.moveaxis(delta, 0, -1), dtype=np.float32)
+        else:
+            kmat = kernel_matrix(kers)
+            y = np.zeros((m, ho, wo), dtype=np.float32)
 
+    # per position: streamed operands, plus one delta word per output map in a
+    # fused kernel update; partial sums leave the chip unless fused
+    in_per_position = _position_operand_words(strategies, n, m, k)
+    if kernel_update and fused:
+        in_per_position += m
+    out_per_position = 0 if fused else (m if strategies.on_chip_accumulate else n * m)
     admitted_until = 0  # first padded row index not yet installed
-    per_position = _position_operand_words(strategies, n, m, k)
-    out_words_per_position = (m if strategies.on_chip_accumulate else n * m) if count_outputs else 0
 
     for r in range(ho):
-        if use_lb:
-            band_top = r * s
+        band_top = r * s
+        if lb is not None:
             for yp in range(max(admitted_until, band_top), band_top + k):
                 y_real = yp - pad
                 if 0 <= y_real < used_rows:
-                    lb.admit_row(y_real, xpad[:, yp, :] if compute else None, used_cols)
+                    lb.admit_row(y_real, xpad[:, yp, :] if x is not None else None, used_cols)
                     if counters.reads is not None:
-                        for i in range(n):
-                            for col in range(used_cols):
-                                counters.reads[(trace_tag, i, y_real, col)] += 1
+                        counters.reads.update(
+                            (trace_tag, i, y_real, col) for i in range(n) for col in range(used_cols)
+                        )
                 else:
                     lb.fill_row(yp, None)
             admitted_until = band_top + k
-            if compute:
-                # the line buffer holds the whole row's windows: one sweep per row
-                y[:, r, :] = accumulate_row(lb.row_windows(band_top, s), kmat, hw.num_cu).T
-        for c in range(wo):
-            counters.input_words += per_position
-            counters.cycles += m * waves
-            counters.output_words += out_words_per_position
-            if compute and not use_lb:
-                # without it, each window streams in alone, straight from the maps
-                win = xpad[None, :, r * s : r * s + k, c * s : c * s + k]
-                y[:, r, c] = accumulate_row(win, kmat, hw.num_cu)[0]
-    if use_lb:
+        if x is not None:
+            band = lb.band(band_top) if lb is not None else xpad[:, band_top : band_top + k]
+            block = band_windows(band, s)
+            if kernel_update:
+                for c in range(wo):
+                    np.multiply(block[c].reshape(-1, 1), d_at[r, c], out=product)
+                    store += product
+            else:
+                y[:, r, :] = accumulate_row(block, kmat, hw.num_cu).T
+        counters.input_words += wo * in_per_position
+        counters.output_words += wo * out_per_position
+        counters.cycles += wo * m * math.ceil(n / hw.num_cu)
+        if kernel_update and fused and counters.reads is not None:
+            counters.reads.update(("d", j, r, c) for c in range(wo) for j in range(m))
+    if lb is not None:
         counters.input_words += lb.external_reads
-    if strategies.kernels_on_chip and count_outputs:
+    if strategies.kernels_on_chip and not fused:
         # one-time preload charged only in the non-fused accounting
         counters.kernel_words += n * m * k * k
-    return y
+    if x is None:
+        return None
+    return store.reshape(n, k, k, m).transpose(0, 3, 1, 2) if kernel_update else y
 
 
-def _act_pool_engine(
-    pre: np.ndarray, layer: SuperLayerSpec, counters: _Counters, fused: bool, trace: bool
-) -> np.ndarray:
-    """Fused rectifier + pooling stage; final maps stream out once when fused."""
+def _act_pool_engine(pre: np.ndarray, layer: SuperLayerSpec) -> np.ndarray:
+    """Fused rectifier + pooling stage."""
     out = np.maximum(pre, np.float32(0.0)) if layer.has_act else pre
     if layer.pool is not None:
         p, s = layer.pool.p, layer.pool.stride
@@ -296,14 +293,14 @@ def _act_pool_engine(
             for c in range(pw):
                 pooled[:, r, c] = out[:, r * s : r * s + p, c * s : c * s + p].sum(axis=(1, 2)) * inv
         out = pooled
-    if fused:
-        counters.output_words += out.shape[0] * out.shape[1] * out.shape[2]
-        if counters.writes is not None:
-            for j in range(out.shape[0]):
-                for r in range(out.shape[1]):
-                    for c in range(out.shape[2]):
-                        counters.writes[("out", j, r, c)] += 1
     return out
+
+
+def _stream_out(counters: _Counters, maps: int, h: int, w: int) -> None:
+    """Fused write-out: every element of the final maps streams out once."""
+    counters.output_words += maps * h * w
+    if counters.writes is not None:
+        counters.writes.update(("out", j, a, b) for j in range(maps) for a in range(h) for b in range(w))
 
 
 def _pool_transpose_gather(
@@ -357,113 +354,53 @@ def run_super_layer(
     pre-activation maps for the derivative mask.
     """
     conv = layer.conv
-    geometry = layer  # the conv geometry the engine runs, and is sized for
     fused = strategies.fused_super_layer
     counters = _Counters(trace)
     ho, wo = layer.conv_out_dims()
+    if not isinstance(phase, Phase):
+        raise ConfigError(f"unknown phase {phase!r}")
+    if phase is Phase.DP and prev_layer is None:
+        raise ConfigError("delta propagation needs the previous super layer")
+    # the conv geometry the engine runs, and is sized for
+    geometry = transpose_geometry(layer) if phase is Phase.DP else layer
+    budget = sram_budget(geometry, hw)
+
+    if compute:
+        check_maps(x, geometry.conv.n, geometry.input_h, geometry.input_w,
+                   "delta" if phase is Phase.DP else "input")
+        if phase is Phase.KU:
+            check_maps(delta, conv.m, ho, wo, "delta")
+        check_kernels(kers, conv)
+        if phase is Phase.DP:
+            kers = np.transpose(kers[:, :, ::-1, ::-1], (1, 0, 2, 3))
+    else:
+        x = kers = delta = None
+    swept = _conv_sweep(
+        x, kers, geometry.conv, geometry.input_h, geometry.input_w, hw, strategies, counters,
+        phase, delta,
+    )
 
     outputs = pre_act = grad = None
-
     if phase is Phase.FP:
-        _check_capacity(conv, hw, strategies)
+        pre_act = swept
         if compute:
-            check_maps(x, conv.n, layer.input_h, layer.input_w, "input")
-            check_kernels(kers, conv)
-        pre_act = _conv_sweep(
-            x, kers, conv, layer.input_h, layer.input_w, hw, strategies,
-            counters, compute, count_outputs=not fused, trace_tag="x" if trace else None,
-        )
+            outputs = _act_pool_engine(pre_act, layer)
         if fused:
-            if compute:
-                outputs = _act_pool_engine(pre_act, layer, counters, fused=True, trace=trace)
-            else:
-                oh, ow = layer.out_dims()
-                counters.output_words += conv.m * oh * ow
-        elif compute:
-            outputs = _act_pool_engine(pre_act, layer, counters, fused=False, trace=trace)
-
+            _stream_out(counters, conv.m, *layer.out_dims())
     elif phase is Phase.DP:
-        if prev_layer is None:
-            raise ConfigError("delta propagation needs the previous super layer")
-        geometry = transpose_geometry(layer)
-        tconv = geometry.conv
-        _check_capacity(tconv, hw, strategies)
-        tkers = None
-        if compute:
-            check_maps(x, conv.m, ho, wo, "delta")
-            check_kernels(kers, conv)
-            tkers = np.transpose(kers[:, :, ::-1, ::-1], (1, 0, 2, 3))
-        d = _conv_sweep(
-            x, tkers, tconv, geometry.input_h, geometry.input_w, hw, strategies,
-            counters, compute, count_outputs=not fused, trace_tag="d" if trace else None,
-        )
         prev_h, prev_w = prev_layer.conv_out_dims()
         if compute:
+            outputs = swept
             if prev_layer.pool is not None:
-                d = _pool_transpose_gather(d, prev_layer.pool, prev_h, prev_w)
+                outputs = _pool_transpose_gather(outputs, prev_layer.pool, prev_h, prev_w)
             if prev_layer.has_act:
                 check_maps(prev_pre_act, conv.n, prev_h, prev_w, "previous pre-activation")
                 # mask operand stays on chip, it is not charged as traffic
-                d = d * (prev_pre_act > 0).astype(np.float32)
-            outputs = d
+                outputs = outputs * (prev_pre_act > 0).astype(np.float32)
         if fused:
-            counters.output_words += conv.n * prev_h * prev_w
-            if counters.writes is not None:
-                for j in range(conv.n):
-                    for a in range(prev_h):
-                        for b in range(prev_w):
-                            counters.writes[("out", j, a, b)] += 1
-
-    elif phase is Phase.KU:
-        _check_capacity(conv, hw, strategies)
-        n, m, k, s, pad = conv.n, conv.m, conv.k, conv.stride, conv.pad
-        used_rows = used_extent(layer.input_h, k, s, pad)
-        used_cols = used_extent(layer.input_w, k, s, pad)
-        waves = math.ceil(n / hw.num_cu)
-        if compute:
-            check_maps(x, n, layer.input_h, layer.input_w, "input")
-            check_maps(delta, m, ho, wo, "delta")
-            check_kernels(kers, conv)
-            xpad = np.pad(x.astype(np.float32, copy=False), ((0, 0), (pad, pad), (pad, pad)))
-            # the kernel store in (map, tap) x output order, one reused outer-product
-            # buffer, and contiguous (ho, wo, m) deltas so each product runs at unit
-            # stride (a strided delta operand keeps the multiply off the SIMD loop)
-            store = np.zeros((n * k * k, m), dtype=np.float32)
-            product = np.empty_like(store)
-            d_at = np.ascontiguousarray(np.moveaxis(delta, 0, -1), dtype=np.float32)
-        if strategies.line_buffer:
-            # input maps stream through the line buffers exactly once
-            counters.input_words += n * used_rows * used_cols
-            if counters.reads is not None:
-                for i in range(n):
-                    for y_r in range(used_rows):
-                        for col in range(used_cols):
-                            counters.reads[("x", i, y_r, col)] += 1
-        per_position = 0 if fused else _position_operand_words(strategies, n, m, k)
-        out_per_position = 0 if fused else (m if strategies.on_chip_accumulate else n * m)
-        for r in range(ho):
-            for c in range(wo):
-                if fused:
-                    counters.input_words += m  # one delta word per output map
-                    if counters.reads is not None:
-                        for j in range(m):
-                            counters.reads[("d", j, r, c)] += 1
-                else:
-                    counters.input_words += per_position
-                    counters.output_words += out_per_position
-                counters.cycles += m * waves
-                if compute:
-                    win = xpad[:, r * s : r * s + k, c * s : c * s + k].reshape(-1, 1)
-                    np.multiply(win, d_at[r, c], out=product)
-                    store += product
-        if compute:
-            grad = store.reshape(n, k, k, m).transpose(0, 3, 1, 2)
-        if strategies.kernels_on_chip and not fused:
-            counters.kernel_words += n * m * k * k
-        # gradients accumulate in the kernel store and never stream out
-
+            _stream_out(counters, conv.n, prev_h, prev_w)
     else:
-        raise ConfigError(f"unknown phase {phase!r}")
+        grad = swept  # gradients accumulate in the kernel store and never stream out
 
     word = hw.word_bytes
     conv_ops, act_ops, pool_ops = op_count(layer, 1, groups)
@@ -475,7 +412,6 @@ def run_super_layer(
         act_ops=act_ops if phase is Phase.FP else 0,
         pool_ops=pool_ops if phase is Phase.FP else 0,
     )
-    budget = sram_budget(geometry, hw)
     return SimResult(
         outputs=outputs,
         pre_act=pre_act,

@@ -119,6 +119,30 @@ class TestFrontDoor:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: hardware key '{key}'")
 
+    @pytest.mark.parametrize("flag", ["--net", "--hw"])
+    def test_non_utf8_file(self, tmp_path, capsys, flag):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b'{"name": "\xff\xfe"}')
+        args = {"--net": "toy2", "--hw": "paper"}
+        args[flag] = str(path)
+        assert main(["analyze", "--net", args["--net"], "--hw", args["--hw"]]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "not UTF-8" in err[0]
+
+    @pytest.mark.parametrize("command", ["simulate", "gradcheck"])
+    def test_negative_seed(self, capsys, command):
+        assert main([command, "--net", "toy2", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --seed")
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    def test_bad_tolerance(self, capsys, tolerance):
+        assert main(["compare", "table1", "--tolerance", tolerance]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: tolerance")
+        assert captured.out == ""
+
     def test_hardware_document_round_trip(self, tmp_path):
         path = tmp_path / "hw.json"
         path.write_text(json.dumps(presets.paper_hw().to_dict()))

@@ -10,6 +10,7 @@ from convtraffic.simulator import (
     LineBuffer,
     _pool_transpose_gather,
     accumulate_row,
+    band_windows,
     kernel_matrix,
     pool_engine_schedule,
     run_super_layer,
@@ -17,6 +18,8 @@ from convtraffic.simulator import (
 from convtraffic.specs import ConvSpec, NetworkSpec, PoolSpec, SuperLayerSpec
 from convtraffic.traffic import Phase, StrategySet, transpose_geometry
 from convtraffic.verify import max_relative_error, simulate_layer
+
+from conftest import random_toy_cases
 
 
 def _same_bits(a, b):
@@ -35,17 +38,19 @@ class TestBankGrid:
         for y in range(3):
             lb.fill_row(y, data[:, y])
         for r in (0,):
+            block = band_windows(lb.band(r), 1)
             for c in range(5):
-                assert np.array_equal(lb.windows(r, c), data[:, r : r + 3, c : c + 3])
+                assert np.array_equal(block[c], data[:, r : r + 3, c : c + 3])
         # slide the band down one row, recycling the row-0 banks, and re-check
         lb.fill_row(3, data[:, 3])
+        block = band_windows(lb.band(1), 1)
         for c in range(5):
-            assert np.array_equal(lb.windows(1, c), data[:, 1:4, c : c + 3])
+            assert np.array_equal(block[c], data[:, 1:4, c : c + 3])
 
     def test_k1_single_element(self):
         lb = LineBuffer(1, 1, 4)
         lb.fill_row(2, np.array([[9.0, 8.0, 7.0, 6.0]], dtype=np.float32))
-        assert lb.windows(2, 3)[0] == np.float32(6.0)
+        assert band_windows(lb.band(2), 1)[3, 0] == np.float32(6.0)
 
     def test_consecutive_fetches_share_columns(self):
         rng = np.random.default_rng(1)
@@ -54,8 +59,9 @@ class TestBankGrid:
         lb = LineBuffer(1, k, 8)
         for y in range(k):
             lb.fill_row(y, data[:, y])
-        a = lb.windows(0, 2)[0]
-        b = lb.windows(0, 3)[0]
+        block = band_windows(lb.band(0), 1)
+        a = block[2, 0]
+        b = block[3, 0]
         assert np.array_equal(a[:, 1:], b[:, :-1])  # k*(k-1) shared elements
 
     def test_each_window_read_covers_all_banks_once(self):
@@ -69,7 +75,7 @@ class TestBankGrid:
         lb.fill_row(1, np.zeros((1, 4), dtype=np.float32))
         lb.fill_row(2, np.zeros((1, 4), dtype=np.float32))  # evicts row 0
         with pytest.raises(RuntimeError, match="not resident"):
-            lb.windows(0, 0)
+            lb.band(0)
 
     def test_band_matches_direct_slice_after_recycling(self):
         rng = np.random.default_rng(8)
@@ -78,7 +84,7 @@ class TestBankGrid:
         for y in range(5):  # rows 3 and 4 recycle the banks of rows 0 and 1
             lb.fill_row(y, data[:, y])
         assert np.array_equal(lb.band(2), data[:, 2:5])
-        block = lb.row_windows(2, stride=2)  # windows at columns 0 and 2
+        block = band_windows(lb.band(2), 2)  # windows at columns 0 and 2
         assert block.flags.c_contiguous
         assert np.array_equal(block, np.stack([data[:, 2:5, c : c + 3] for c in (0, 2)]))
         with pytest.raises(RuntimeError, match="not resident"):
@@ -158,19 +164,6 @@ class TestAccumulateSweep:
         out = accumulate_row(block, kmat, num_cu=4)
         want = np.stack([self._per_position(w.reshape(-1), kmat, 4, n) for w in block])
         assert _same_bits(out, want)
-
-    def test_k1_strided_window_matches_1d_dot(self):
-        # without the line buffer a k = 1 window is a strided view of the maps;
-        # it must sum exactly as the strided 1-D vector of the same taps does.
-        # With m = 3 a contiguous copy of the taps rounds differently here.
-        rng = np.random.default_rng(10)
-        n, m = 6, 3
-        x = rng.standard_normal((n, 4, 7)).astype(np.float32)
-        kmat = kernel_matrix(rng.standard_normal((n, m, 1, 1)).astype(np.float32))
-        for r in range(4):
-            for c in range(7):
-                out = accumulate_row(x[None, :, r : r + 1, c : c + 1], kmat, num_cu=4)[0]
-                assert _same_bits(out, self._per_position(x[:, r, c], kmat, 4, n))
 
 
 class TestPoolEngineSchedule:
@@ -266,7 +259,7 @@ class TestRunSuperLayer:
             r = run_super_layer(x, kers, layer, paper_hw, StrategySet.first(prefix), Phase.FP)
             outs.append(r.outputs)
         for other in outs[1:]:
-            assert max_relative_error(other, outs[0]) < 1e-5
+            assert _same_bits(other, outs[0])
 
     def test_read_write_once_histogram(self, paper_hw):
         rng = np.random.default_rng(5)
@@ -425,7 +418,9 @@ def _oracle_ku(x, delta, conv):
 
 # (name, previous layer or None, layer, CUs): stride 2 with pad 1 on a
 # non-square map; k = 1; 6 maps on 4 CUs, so the last wave is partial in FP,
-# DP and KU alike; delta propagation behind a pooled, rectified layer.
+# DP and KU alike; the same at k = 1, where a strided window without the line
+# buffer would sum differently; delta propagation behind a pooled, rectified
+# layer.
 _SCHEDULE_CASES = [
     ("stride2-pad1", None,
      SuperLayerSpec(ConvSpec(3, 4, 3, stride=2, pad=1), 7, 10, True, None), 16),
@@ -433,6 +428,8 @@ _SCHEDULE_CASES = [
      SuperLayerSpec(ConvSpec(3, 2, 1), 5, 4, True, None), 2),
     ("partial-wave", SuperLayerSpec(ConvSpec(2, 6, 3, pad=1), 6, 5, False, None),
      SuperLayerSpec(ConvSpec(6, 6, 3, pad=1), 6, 5, True, None), 4),
+    ("k1-partial-wave", SuperLayerSpec(ConvSpec(2, 6, 1), 4, 7, True, None),
+     SuperLayerSpec(ConvSpec(6, 3, 1), 4, 7, True, None), 4),
     ("behind-pool", SuperLayerSpec(ConvSpec(2, 3, 3, pad=1), 8, 8, True, PoolSpec(2, 2)),
      SuperLayerSpec(ConvSpec(3, 4, 3, pad=1), 4, 4, True, None), 16),
 ]
@@ -445,7 +442,7 @@ class TestScheduleOrder:
     stays within the reference bound."""
 
     @pytest.mark.parametrize("case", _SCHEDULE_CASES, ids=lambda c: c[0])
-    @pytest.mark.parametrize("prefix", [4, 5])
+    @pytest.mark.parametrize("prefix", range(6))
     def test_fp_and_dp_follow_the_schedule(self, paper_hw, case, prefix):
         _, prev, layer, num_cu = case
         hw = paper_hw.with_(num_cu=num_cu)
@@ -483,3 +480,32 @@ class TestScheduleOrder:
         r = run_super_layer(x, kers, layer, paper_hw.with_(num_cu=num_cu),
                             StrategySet.first(prefix), Phase.KU, delta=delta)
         assert _same_bits(r.grad, _oracle_ku(x, delta, conv))
+
+
+# Seeded small nets; this seed draws k = 1 layers whose FP and DP results
+# would change if a prefix summed a strided window instead of a contiguous one.
+_PREFIX_CASES = [(net, index, Phase(phase)) for net, index, phases in random_toy_cases(23, 6)
+                 for phase in phases]
+
+
+class TestStrategiesKeepBits:
+    """The strategies move words, never bits: every prefix computes the same
+    outputs, pre-activations and gradients from the same tensors."""
+
+    @staticmethod
+    def _assert_prefix_invariant(net, index, phase, hw):
+        runs = [simulate_layer(net, index, phase, StrategySet.first(prefix), hw, seed=5).last_run
+                for prefix in range(6)]
+        for run in runs[1:]:
+            for field in ("outputs", "pre_act", "grad"):
+                got, want = getattr(run, field), getattr(runs[0], field)
+                assert (got is None and want is None) or _same_bits(got, want), field
+
+    @pytest.mark.parametrize("case", _PREFIX_CASES,
+                             ids=lambda c: f"k{c[0].layers[c[1]].conv.k}-{c[2].value}")
+    def test_seeded_nets(self, paper_hw, case):
+        self._assert_prefix_invariant(*case, paper_hw)
+
+    @pytest.mark.parametrize("phase", [Phase.FP, Phase.DP, Phase.KU])
+    def test_alexnet_layer4(self, alexnet, paper_hw, phase):
+        self._assert_prefix_invariant(alexnet, 3, phase, paper_hw)
