@@ -23,6 +23,7 @@ from .specs import (
     check_kernels,
     check_maps,
 )
+from .traffic import transpose_conv
 
 
 def _strided_windows(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
@@ -89,10 +90,7 @@ def conv_backward_delta(delta_y: np.ndarray, ker: np.ndarray, spec: ConvSpec) ->
     check_kernels(ker, spec)
     rotated = ker[:, :, ::-1, ::-1]
     swapped = np.ascontiguousarray(np.transpose(rotated, (1, 0, 2, 3)))
-    tspec = ConvSpec(
-        n=spec.m, m=spec.n, k=spec.k, stride=1, pad=spec.k - 1 - spec.pad
-    )
-    return conv_forward(delta_y, swapped, tspec)
+    return conv_forward(delta_y, swapped, transpose_conv(spec))
 
 
 def act_backward(delta: np.ndarray, pre_act: np.ndarray) -> np.ndarray:

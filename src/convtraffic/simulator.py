@@ -11,7 +11,14 @@ from the line buffer or straight from the maps, so strategies change
 counters, never bits. FP and DP run one stacked matmul per CU wave over the
 row and give the same bits as the schedule run position by position and CU
 wave by CU wave in 32-bit arithmetic: a faster evaluation that reorders a
-float32 sum is a behaviour change, not a speed-up.
+float32 sum is a behaviour change, not a speed-up. KU forms each position's
+outer product with one K = 1 BLAS product: each element is one rounded
+multiply and no sum is formed, so only a zero product's sign can differ
+from an elementwise multiply, and the kernel store, which starts at +0.0,
+absorbs it (adding a zero of either sign never leaves -0.0 there). The
+pooling engine works on whole maps, the pooling-transpose gather on blocks
+of elements that lie in the same windows relative to their position; both
+add each element's taps in place, in the order a per-window np.sum does.
 
 One run covers one image of one group and scales its counters to the
 group count. Over a batch, streamed words and cycles add up image by image,
@@ -20,9 +27,11 @@ while the one-time kernel preload is charged once per run, as in the model.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -225,8 +234,9 @@ def _conv_sweep(
         xpad = np.pad(x.astype(np.float32, copy=False), ((0, 0), (pad, pad), (pad, pad)))
         if kernel_update:
             # the kernel store in (map, tap) x output order, one reused outer-product
-            # buffer, and contiguous (ho, wo, m) deltas so each product runs at unit
-            # stride (a strided delta operand keeps the multiply off the SIMD loop)
+            # buffer, and contiguous (ho, wo, m) deltas. Each position's product is
+            # one K = 1 BLAS product: every element is a single rounded multiply, no
+            # sum is formed, and a zero product's sign cannot reach the +0 store.
             store = np.zeros((n * k * k, m), dtype=np.float32)
             product = np.empty_like(store)
             d_at = np.ascontiguousarray(np.moveaxis(delta, 0, -1), dtype=np.float32)
@@ -261,7 +271,7 @@ def _conv_sweep(
             block = band_windows(band, s)
             if kernel_update:
                 for c in range(wo):
-                    np.multiply(block[c].reshape(-1, 1), d_at[r, c], out=product)
+                    np.dot(block[c].reshape(-1, 1), d_at[r, c].reshape(1, -1), out=product)
                     store += product
             else:
                 y[:, r, :] = accumulate_row(block, kmat, hw.num_cu).T
@@ -280,19 +290,54 @@ def _conv_sweep(
     return store.reshape(n, k, k, m).transpose(0, 3, 1, 2) if kernel_update else y
 
 
+def _window_sum(tap: Callable[[int], np.ndarray], n: int, out: np.ndarray) -> None:
+    """Add taps 0 .. n-1 (tap(i) is an array; a window's taps are numbered
+    row-major) elementwise into out, which holds +0.0, in the order np.sum
+    adds one window: numpy's pairwise summation (one running sum below
+    eight taps; up to 128, eight interleaved running sums combined as a
+    tree; halves beyond), added to a +0 output. A running sum needs no
+    array beyond out."""
+    if n < 8:
+        for i in range(n):
+            out += tap(i)
+        return
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        rest = np.zeros_like(out)
+        _window_sum(tap, half, out)
+        _window_sum(lambda i: tap(half + i), n - half, rest)
+        out += rest
+    else:
+        whole = n - n % 8
+        if whole == 8:
+            partial = [tap(j) for j in range(8)]
+        else:
+            partial = [tap(j) + tap(8 + j) for j in range(8)]
+        for start in range(16, whole, 8):
+            for j in range(8):
+                partial[j] += tap(start + j)
+        np.add(partial[0], partial[1], out=out)
+        out += partial[2] + partial[3]
+        upper = partial[4] + partial[5]
+        upper += partial[6] + partial[7]
+        out += upper
+        for i in range(whole, n):
+            out += tap(i)
+    out += np.float32(0.0)  # a -0.0 sum leaves as +0.0, as from np.sum
+
+
 def _act_pool_engine(pre: np.ndarray, layer: SuperLayerSpec) -> np.ndarray:
-    """Fused rectifier + pooling stage."""
+    """Fused rectifier + pooling stage: every pooled element adds its window's
+    taps in the order a per-window np.sum does, over whole maps at once."""
     out = np.maximum(pre, np.float32(0.0)) if layer.has_act else pre
     if layer.pool is not None:
         p, s = layer.pool.p, layer.pool.stride
-        ho, wo = out.shape[1], out.shape[2]
-        ph, pw = layer.pool.out_dims(ho, wo)
-        inv = np.float32(1.0 / (p * p))
-        pooled = np.zeros((out.shape[0], ph, pw), dtype=np.float32)
-        for r in range(ph):
-            for c in range(pw):
-                pooled[:, r, c] = out[:, r * s : r * s + p, c * s : c * s + p].sum(axis=(1, 2)) * inv
-        out = pooled
+        ph, pw = layer.pool.out_dims(out.shape[1], out.shape[2])
+        taps = [out[:, u : u + (ph - 1) * s + 1 : s, v : v + (pw - 1) * s + 1 : s]
+                for u in range(p) for v in range(p)]
+        out = np.zeros((out.shape[0], ph, pw), dtype=np.float32)
+        _window_sum(taps.__getitem__, len(taps), out)
+        out *= np.float32(1.0 / (p * p))
     return out
 
 
@@ -303,30 +348,46 @@ def _stream_out(counters: _Counters, maps: int, h: int, w: int) -> None:
         counters.writes.update(("out", j, a, b) for j in range(maps) for a in range(h) for b in range(w))
 
 
+def _covering_runs(size: int, pooled: int, p: int, s: int):
+    """Split one axis of a pooling input into runs of every s-th position
+    that lie in the same number of windows, the first of which moves on by
+    one window per position. Yields (positions, first, count): a slice of the
+    axis, the first window covering the run's first position, and how many
+    windows cover each position. Positions no window covers are left out."""
+    for q in range(s):
+        e = (p - 1 - q) // s  # position q + s*t lies in windows t-e .. t, when they exist
+        spans = [(max(0, t - e) - t, min(pooled - 1, t) - max(0, t - e) + 1)
+                 for t in range(len(range(q, size, s)))]
+        for (shift, count), run in itertools.groupby(enumerate(spans), key=lambda ts: ts[1]):
+            ts = [t for t, _ in run]
+            if count > 0:
+                yield slice(q + s * ts[0], q + s * ts[-1] + 1, s), ts[0] + shift, count
+
+
 def _pool_transpose_gather(
     d: np.ndarray, pool: PoolSpec, out_h: int, out_w: int
 ) -> np.ndarray:
     """Upsample deltas through the pooling transpose, gathering per output
-    element the 1/p^2-weighted deltas of every window that contains it."""
+    element the 1/p^2-weighted deltas of every window that contains it.
+
+    Output elements are taken in blocks that lie in the same windows relative
+    to their own position; each block adds its deltas as whole-block views,
+    in the order np.sum adds one element's (rows x columns) delta block.
+    """
     p, s = pool.p, pool.stride
     ph, pw = pool.out_dims(out_h, out_w)
     if d.shape[1:] != (ph, pw):
         raise ShapeError(
             f"delta dims {d.shape[1]}x{d.shape[2]} do not match pooled dims {ph}x{pw}"
         )
-    inv = np.float32(1.0 / (p * p))
     out = np.zeros((d.shape[0], out_h, out_w), dtype=np.float32)
-    for a in range(out_h):
-        r_lo = max(0, math.ceil((a - p + 1) / s))
-        r_hi = min(ph - 1, a // s)
-        if r_hi < r_lo:
-            continue
-        for b in range(out_w):
-            c_lo = max(0, math.ceil((b - p + 1) / s))
-            c_hi = min(pw - 1, b // s)
-            if c_hi < c_lo:
-                continue
-            out[:, a, b] = d[:, r_lo : r_hi + 1, c_lo : c_hi + 1].sum(axis=(1, 2)) * inv
+    for rows, r0, nr in _covering_runs(out_h, ph, p, s):
+        for cols, c0, nc in _covering_runs(out_w, pw, p, s):
+            block = out[:, rows, cols]
+            bh, bw = block.shape[1:]
+            _window_sum(lambda t: d[:, r0 + t // nc : r0 + t // nc + bh,
+                                    c0 + t % nc : c0 + t % nc + bw], nr * nc, block)
+    out *= np.float32(1.0 / (p * p))
     return out
 
 

@@ -228,17 +228,22 @@ def conv_traffic(
     )
 
 
-def transpose_geometry(layer: SuperLayerSpec) -> SuperLayerSpec:
-    """Conv geometry that delta propagation runs on: map roles swapped,
-    180-degree rotation does not change counts, padding becomes k-1-pad."""
-    conv = layer.conv
+def transpose_conv(conv: ConvSpec) -> ConvSpec:
+    """The conv that delta propagation runs: map roles swapped, padding
+    k-1-pad; the 180-degree kernel rotation does not change the geometry."""
     if conv.stride != 1:
         raise ConfigError(
             f"delta propagation supports stride 1 only, got stride {conv.stride}"
         )
+    return ConvSpec(n=conv.m, m=conv.n, k=conv.k, stride=1, pad=conv.k - 1 - conv.pad)
+
+
+def transpose_geometry(layer: SuperLayerSpec) -> SuperLayerSpec:
+    """Super-layer geometry that delta propagation runs on: the transpose_conv
+    over this layer's conv output grid, with no activation or pooling stage."""
     ho, wo = layer.conv_out_dims()
-    tconv = ConvSpec(n=conv.m, m=conv.n, k=conv.k, stride=1, pad=conv.k - 1 - conv.pad)
-    return SuperLayerSpec(conv=tconv, input_h=ho, input_w=wo, has_act=False, pool=None)
+    return SuperLayerSpec(conv=transpose_conv(layer.conv), input_h=ho, input_w=wo,
+                          has_act=False, pool=None)
 
 
 def super_traffic(

@@ -84,6 +84,7 @@ def random_toy_cases(seed, count):
         pad = int(rng.integers(0, k))
         h_b = int(rng.integers(max(k, 2), 8))
         conv_b = ConvSpec(n_b, m_b, k, stride=1, pad=pad)
+        conv_out_h = conv_b.out_dims(h_b, h_b)[0]
         if rng.integers(0, 2):
             p = int(rng.integers(1, 3))
             ps = int(rng.integers(1, p + 1))
@@ -99,7 +100,7 @@ def random_toy_cases(seed, count):
         )
         layer_b = SuperLayerSpec(
             conv_b, h_b, h_b, has_act=bool(rng.integers(0, 2)),
-            pool=PoolSpec(2, 2) if (rng.integers(0, 2) and h_b >= 2) else None,
+            pool=PoolSpec(2, 2) if (rng.integers(0, 2) and conv_out_h >= 2) else None,
         )
         net = NetworkSpec("toy", 1, (prev, layer_b), (1, 1))
         cases.append((net, 1, ("fp", "dp", "ku")))

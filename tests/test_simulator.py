@@ -8,6 +8,7 @@ from convtraffic.errors import ConfigError
 from convtraffic.reference import conv_forward, super_forward
 from convtraffic.simulator import (
     LineBuffer,
+    _act_pool_engine,
     _pool_transpose_gather,
     accumulate_row,
     band_windows,
@@ -403,6 +404,40 @@ def _oracle_conv(x, kers, conv, num_cu):
     return y
 
 
+def _oracle_act_pool(pre, layer):
+    """The rectifier and pooling stage as a plain loop: one np.sum over each
+    pooled element's window, then the 1/p^2 weight."""
+    out = np.maximum(pre, np.float32(0.0)) if layer.has_act else pre
+    if layer.pool is None:
+        return out
+    p, s = layer.pool.p, layer.pool.stride
+    ph, pw = layer.pool.out_dims(out.shape[1], out.shape[2])
+    inv = np.float32(1.0 / (p * p))
+    pooled = np.zeros((out.shape[0], ph, pw), dtype=np.float32)
+    for r in range(ph):
+        for c in range(pw):
+            pooled[:, r, c] = out[:, r * s : r * s + p, c * s : c * s + p].sum(axis=(1, 2)) * inv
+    return pooled
+
+
+def _oracle_pool_transpose(d, pool, out_h, out_w):
+    """The pooling transpose as a plain gather loop: per output element one
+    np.sum over the deltas of every window that contains it."""
+    p, s = pool.p, pool.stride
+    ph, pw = pool.out_dims(out_h, out_w)
+    inv = np.float32(1.0 / (p * p))
+    out = np.zeros((d.shape[0], out_h, out_w), dtype=np.float32)
+    for a in range(out_h):
+        r_lo = max(0, math.ceil((a - p + 1) / s))
+        r_hi = min(ph - 1, a // s)
+        for b in range(out_w):
+            c_lo = max(0, math.ceil((b - p + 1) / s))
+            c_hi = min(pw - 1, b // s)
+            if r_hi >= r_lo and c_hi >= c_lo:
+                out[:, a, b] = d[:, r_lo : r_hi + 1, c_lo : c_hi + 1].sum(axis=(1, 2)) * inv
+    return out
+
+
 def _oracle_ku(x, delta, conv):
     """Kernel update as a plain loop: one outer product per position, added
     to the kernel store position by position."""
@@ -420,7 +455,9 @@ def _oracle_ku(x, delta, conv):
 # non-square map; k = 1; 6 maps on 4 CUs, so the last wave is partial in FP,
 # DP and KU alike; the same at k = 1, where a strided window without the line
 # buffer would sum differently; delta propagation behind a pooled, rectified
-# layer.
+# layer; 3 x 3 pools at stride 2 (nine taps per pooled element, up to four
+# windows per delta) and at stride 1 (four taps, up to nine windows), so both
+# of numpy's summation orders, running and pairwise, are pinned.
 _SCHEDULE_CASES = [
     ("stride2-pad1", None,
      SuperLayerSpec(ConvSpec(3, 4, 3, stride=2, pad=1), 7, 10, True, None), 16),
@@ -432,6 +469,10 @@ _SCHEDULE_CASES = [
      SuperLayerSpec(ConvSpec(6, 3, 1), 4, 7, True, None), 4),
     ("behind-pool", SuperLayerSpec(ConvSpec(2, 3, 3, pad=1), 8, 8, True, PoolSpec(2, 2)),
      SuperLayerSpec(ConvSpec(3, 4, 3, pad=1), 4, 4, True, None), 16),
+    ("pool3-stride2", SuperLayerSpec(ConvSpec(2, 3, 3, pad=1), 11, 12, True, PoolSpec(3, 2)),
+     SuperLayerSpec(ConvSpec(3, 5, 3, pad=1), 5, 5, True, PoolSpec(3, 2)), 2),
+    ("pool-stride1", SuperLayerSpec(ConvSpec(2, 3, 3, pad=1), 8, 9, True, PoolSpec(3, 1)),
+     SuperLayerSpec(ConvSpec(3, 4, 3, pad=1), 6, 7, False, PoolSpec(2, 1)), 16),
 ]
 
 
@@ -451,7 +492,9 @@ class TestScheduleOrder:
         x = rng.standard_normal((conv.n, layer.input_h, layer.input_w)).astype(np.float32)
         kers = rng.standard_normal((conv.n, conv.m, conv.k, conv.k)).astype(np.float32)
         r = run_super_layer(x, kers, layer, hw, StrategySet.first(prefix), Phase.FP)
-        assert _same_bits(r.pre_act, _oracle_conv(x, kers, conv, num_cu))
+        want_pre = _oracle_conv(x, kers, conv, num_cu)
+        assert _same_bits(r.pre_act, want_pre)
+        assert _same_bits(r.outputs, _oracle_act_pool(want_pre, layer))
         if prev is None:
             return
         ho, wo = layer.conv_out_dims()
@@ -463,7 +506,7 @@ class TestScheduleOrder:
         tkers = np.transpose(kers[:, :, ::-1, ::-1], (1, 0, 2, 3))
         want = _oracle_conv(d, tkers, transpose_geometry(layer).conv, num_cu)
         if prev.pool is not None:
-            want = _pool_transpose_gather(want, prev.pool, prev_h, prev_w)
+            want = _oracle_pool_transpose(want, prev.pool, prev_h, prev_w)
         if prev.has_act:
             want = want * (prev_pre > 0).astype(np.float32)
         assert _same_bits(r.outputs, want)
@@ -480,6 +523,55 @@ class TestScheduleOrder:
         r = run_super_layer(x, kers, layer, paper_hw.with_(num_cu=num_cu),
                             StrategySet.first(prefix), Phase.KU, delta=delta)
         assert _same_bits(r.grad, _oracle_ku(x, delta, conv))
+
+    @pytest.mark.parametrize("prefix", range(6))
+    def test_ku_zero_signs_and_subnormal_products(self, paper_hw, prefix):
+        # zeros of both signs, products that are subnormal (1e-20 * 1e-20) or
+        # underflow to a signed zero (2e-25 * 2e-25): the kernel store starts
+        # at +0, so a zero product's sign never reaches the gradient. Input
+        # map 0 and all deltas are tiny, so gradient map 0 sums only subnormal
+        # and zero products; delta map 0 holds only signed zeros.
+        layer = SuperLayerSpec(ConvSpec(3, 4, 3, pad=1), 6, 5, True, None)
+        conv = layer.conv
+        rng = np.random.default_rng(prefix)
+        tiny = np.array([0.0, -0.0, 1e-20, -3e-20, 2e-25], dtype=np.float32)
+        x = rng.choice(np.append(tiny, [1.5, -0.75]), (conv.n, layer.input_h, layer.input_w))
+        x[0] = rng.choice(tiny, x[0].shape)
+        delta = rng.choice(tiny, (conv.m, *layer.conv_out_dims()))
+        delta[0] = rng.choice(tiny[:2], delta[0].shape)
+        kers = np.zeros((conv.n, conv.m, conv.k, conv.k), dtype=np.float32)
+        r = run_super_layer(x, kers, layer, paper_hw, StrategySet.first(prefix), Phase.KU,
+                            delta=delta)
+        want = _oracle_ku(x, delta, conv)
+        assert np.any((want[0] != 0) & (np.abs(want[0]) < np.finfo(np.float32).tiny))
+        assert _same_bits(r.grad, want)
+
+    @pytest.mark.parametrize("p, s", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 3),
+                                      (12, 1)])
+    def test_pool_engines_follow_the_loop(self, p, s):
+        # wide magnitudes, zeros of both signs and a corner of negative zeros,
+        # so a change in the order of additions or in a zero's sign shows;
+        # p = 12 at stride 1 adds 144 taps per pooled element and up to 144
+        # windows per delta, past numpy's 128-element pairwise block
+        rng = np.random.default_rng(10 * p + s)
+        maps_h, maps_w = p + 12, p + 13
+        shape = (3, maps_h, maps_w)
+        maps = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)).astype(np.float32)
+        maps[rng.random(shape) < 0.2] = 0.0
+        maps[rng.random(shape) < 0.2] = -0.0
+        maps[1, : p + 2, : p + 2] = -0.0  # windows of negative zeros only
+        layer = SuperLayerSpec(ConvSpec(1, 3, 1), maps_h, maps_w, False, PoolSpec(p, s))
+        assert _same_bits(_act_pool_engine(maps, layer), _oracle_act_pool(maps, layer))
+        ph, pw = layer.pool.out_dims(maps_h, maps_w)
+        d = np.ascontiguousarray(maps[:, :ph, :pw])
+        assert _same_bits(_pool_transpose_gather(d, layer.pool, maps_h, maps_w),
+                          _oracle_pool_transpose(d, layer.pool, maps_h, maps_w))
+
+
+def test_toy_case_stream_builds_for_every_seed():
+    # the second layer pools only where its conv output is at least 2 wide
+    for seed in range(40):
+        assert len(random_toy_cases(seed, 6)) == 6
 
 
 # Seeded small nets; this seed draws k = 1 layers whose FP and DP results
