@@ -19,13 +19,10 @@ from .archmodel import HwConfig, roofline_attainable
 from .compare import comparison_rows
 from .errors import ConfigError, GradcheckError, ShapeError
 from .reference import (
-    act_backward,
+    analytic_kernel_gradients,
+    chain_loss,
     finite_diff_gradient,
-    kernel_gradient,
     kernel_update,
-    pool_backward,
-    super_backward_delta,
-    super_forward,
 )
 from .reporting import render
 from .specs import NetworkSpec, TrainConfig, network_from_dict
@@ -252,47 +249,6 @@ def cmd_compare(preset: str, tolerance: float | None, fmt: str, out: str | None)
     return 0 if all(r.passed for r in rows) else 1
 
 
-def _forward_chain(net: NetworkSpec, banks: list[np.ndarray], x0: np.ndarray):
-    """Single-group functional run through every layer; keeps per-layer
-    inputs and pre-activations for the backward pass."""
-    inputs, pre_acts = [], []
-    x = x0
-    for layer, bank in zip(net.layers, banks):
-        inputs.append(x)
-        x, pre = super_forward(x, bank, layer)
-        pre_acts.append(pre)
-    return x, inputs, pre_acts
-
-
-def _chain_loss(net: NetworkSpec, banks: list[np.ndarray], x0: np.ndarray) -> float:
-    out, _, _ = _forward_chain(net, banks, x0)
-    return 0.5 * float(np.sum(out.astype(np.float64) ** 2))
-
-
-def analytic_kernel_gradients(
-    net: NetworkSpec, banks: list[np.ndarray], x0: np.ndarray
-) -> list[np.ndarray]:
-    """Backward pass of the quadratic loss 0.5*sum(out^2) over the chain."""
-    out, inputs, pre_acts = _forward_chain(net, banks, x0)
-    last = len(net.layers) - 1
-    d = out.copy()  # dJ/d(out) for the quadratic loss
-    layer = net.layers[last]
-    ho, wo = layer.conv_out_dims()
-    if layer.pool is not None:
-        d = pool_backward(d, layer.pool, ho, wo)
-    if layer.has_act:
-        d = act_backward(d, pre_acts[last])
-    grads: list[np.ndarray | None] = [None] * len(net.layers)
-    for index in range(last, -1, -1):
-        layer = net.layers[index]
-        grads[index] = kernel_gradient(inputs[index], d, layer.conv)
-        if index > 0:
-            d = super_backward_delta(
-                d, banks[index], layer.conv, net.layers[index - 1], pre_acts[index - 1]
-            )
-    return grads
-
-
 def cmd_gradcheck(manifest: RunManifest, epsilon: float, corrupt: bool) -> int:
     net = manifest.network
     rng = np.random.default_rng(manifest.seed)
@@ -321,7 +277,7 @@ def cmd_gradcheck(manifest: RunManifest, epsilon: float, corrupt: bool) -> int:
         def loss(bank, index=index):
             probe = [b.astype(np.float64) for b in banks]
             probe[index] = bank
-            return _chain_loss(net, probe, x0.astype(np.float64))
+            return chain_loss(net, probe, x0.astype(np.float64))
 
         fd = finite_diff_gradient(loss, banks[index], epsilon)
         scale = max(float(np.max(np.abs(fd))), 1e-12)

@@ -5,6 +5,10 @@ checked against. Convolutions contract through BLAS, so their summation
 order is the library's, not a fixed one. What holds instead: a result keeps
 the dtype of its inputs, the 32-bit path agrees with the simulator within
 1e-5 relative error, and verification oracles run the same code in 64-bit.
+
+Windows are read-only strided views, over a zero-filled pad for the convs.
+np.tensordot's operand layout and order, windows on the left, fix the
+reference's bits, so a change made for speed must keep them.
 """
 
 from __future__ import annotations
@@ -12,11 +16,12 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import GradcheckError, ShapeError
 from .specs import (
     ConvSpec,
+    NetworkSpec,
     PoolSpec,
     SuperLayerSpec,
     TrainConfig,
@@ -26,11 +31,22 @@ from .specs import (
 from .traffic import transpose_conv
 
 
-def _strided_windows(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """All k x k input windows, shape (maps, out_h, out_w, k, k)."""
-    xpad = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xpad, (k, k), axis=(1, 2))
-    return win[:, ::stride, ::stride]
+def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """All k x k windows of x stepping by stride: one read-only view of shape
+    (maps, out_h, out_w, k, k) over x's own strides, with no copy."""
+    maps, h, w = x.shape
+    sm, sh, sw = x.strides
+    shape = (maps, (h - k) // stride + 1, (w - k) // stride + 1, k, k)
+    return as_strided(x, shape, (sm, sh * stride, sw * stride, sh, sw), writeable=False)
+
+
+def _padded_windows(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
+    """_windows over a zero-filled pad of x in np.pad's memory order, even for
+    pad 0: tensordot reshapes from that layout, so it fixes the bits."""
+    maps, h, w = x.shape
+    xpad = np.zeros((maps, h + 2 * pad, w + 2 * pad), x.dtype, "F" if x.flags.fnc else "C")
+    xpad[:, pad : pad + h, pad : pad + w] = x
+    return _windows(xpad, k, stride)
 
 
 def conv_forward(x: np.ndarray, ker: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -40,7 +56,7 @@ def conv_forward(x: np.ndarray, ker: np.ndarray, spec: ConvSpec) -> np.ndarray:
         got = x.shape[0] if x.ndim == 3 else None
         raise ShapeError(f"input: maps axis is {got}, expected {spec.n}")
     common = np.result_type(x.dtype, ker.dtype)
-    win = _strided_windows(x.astype(common, copy=False), spec.k, spec.stride, spec.pad)
+    win = _padded_windows(x.astype(common, copy=False), spec.k, spec.stride, spec.pad)
     # windows as the left operand: on small random nets this orientation
     # lands closer to a 64-bit evaluation than kernels on the left
     y = np.tensordot(win, ker.astype(common, copy=False), axes=([0, 3, 4], [0, 2, 3]))
@@ -58,8 +74,8 @@ def pool_forward(x: np.ndarray, pool: PoolSpec) -> np.ndarray:
         raise ShapeError(
             f"pooling window {pool.p} overruns map extent {x.shape[1]}x{x.shape[2]}"
         )
-    win = sliding_window_view(x, (pool.p, pool.p), axis=(1, 2))
-    win = win[:, :: pool.stride, :: pool.stride]
+    # no copy here: np.sum's order over the window follows x's layout
+    win = _windows(x, pool.p, pool.stride)
     inv = np.asarray(1.0 / (pool.p * pool.p), dtype=x.dtype)
     return win.sum(axis=(3, 4)) * inv
 
@@ -81,12 +97,6 @@ def conv_backward_delta(delta_y: np.ndarray, ker: np.ndarray, spec: ConvSpec) ->
     180-degree-rotated kernels, input/output map roles swapped, and an
     effective zero padding of k-1-pad. Exact linear transpose of conv_forward.
     """
-    if spec.stride != 1:
-        raise ShapeError(
-            f"delta propagation supports stride 1 only, got stride {spec.stride}"
-        )
-    if spec.pad > spec.k - 1:
-        raise ShapeError(f"pad {spec.pad} exceeds k-1={spec.k - 1}, transpose undefined")
     check_kernels(ker, spec)
     rotated = ker[:, :, ::-1, ::-1]
     swapped = np.ascontiguousarray(np.transpose(rotated, (1, 0, 2, 3)))
@@ -156,7 +166,7 @@ def kernel_gradient(x: np.ndarray, delta: np.ndarray, spec: ConvSpec) -> np.ndar
     if x.shape[0] != spec.n:
         raise ShapeError(f"input: maps axis is {x.shape[0]}, expected {spec.n}")
     common = np.result_type(x.dtype, delta.dtype)
-    win = _strided_windows(x.astype(common, copy=False), spec.k, spec.stride, spec.pad)
+    win = _padded_windows(x.astype(common, copy=False), spec.k, spec.stride, spec.pad)
     grad = np.tensordot(win, delta.astype(common, copy=False), axes=([1, 2], [1, 2]))
     return grad.transpose(0, 3, 1, 2)
 
@@ -197,3 +207,45 @@ def finite_diff_gradient(
             raise GradcheckError(f"non-finite loss while probing weight {idx}")
         grad[idx] = (j_plus - j_minus) / (2.0 * epsilon)
     return grad
+
+
+def _forward_chain(net: NetworkSpec, banks: list[np.ndarray], x0: np.ndarray):
+    """Single-group functional run through every layer; keeps per-layer
+    inputs and pre-activations for the backward pass."""
+    inputs, pre_acts = [], []
+    x = x0
+    for layer, bank in zip(net.layers, banks):
+        inputs.append(x)
+        x, pre = super_forward(x, bank, layer)
+        pre_acts.append(pre)
+    return x, inputs, pre_acts
+
+
+def chain_loss(net: NetworkSpec, banks: list[np.ndarray], x0: np.ndarray) -> float:
+    """Quadratic loss 0.5*sum(out^2) of the chain's output, summed in 64-bit."""
+    out, _, _ = _forward_chain(net, banks, x0)
+    return 0.5 * float(np.sum(out.astype(np.float64) ** 2))
+
+
+def analytic_kernel_gradients(
+    net: NetworkSpec, banks: list[np.ndarray], x0: np.ndarray
+) -> list[np.ndarray]:
+    """Backward pass of the quadratic loss 0.5*sum(out^2) over the chain."""
+    out, inputs, pre_acts = _forward_chain(net, banks, x0)
+    last = len(net.layers) - 1
+    d = out.copy()  # dJ/d(out) for the quadratic loss
+    layer = net.layers[last]
+    ho, wo = layer.conv_out_dims()
+    if layer.pool is not None:
+        d = pool_backward(d, layer.pool, ho, wo)
+    if layer.has_act:
+        d = act_backward(d, pre_acts[last])
+    grads: list[np.ndarray | None] = [None] * len(net.layers)
+    for index in range(last, -1, -1):
+        layer = net.layers[index]
+        grads[index] = kernel_gradient(inputs[index], d, layer.conv)
+        if index > 0:
+            d = super_backward_delta(
+                d, banks[index], layer.conv, net.layers[index - 1], pre_acts[index - 1]
+            )
+    return grads

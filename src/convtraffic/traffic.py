@@ -235,6 +235,8 @@ def transpose_conv(conv: ConvSpec) -> ConvSpec:
         raise ConfigError(
             f"delta propagation supports stride 1 only, got stride {conv.stride}"
         )
+    if conv.pad > conv.k - 1:
+        raise ConfigError(f"pad {conv.pad} exceeds k-1={conv.k - 1}, transpose undefined")
     return ConvSpec(n=conv.m, m=conv.n, k=conv.k, stride=1, pad=conv.k - 1 - conv.pad)
 
 

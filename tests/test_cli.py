@@ -107,6 +107,17 @@ class TestFrontDoor:
         assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", [["simulate", "--phase", "dp", "--layer", "2"],
+                                         ["gradcheck"]])
+    def test_pad_above_k_minus_1_has_no_transpose(self, tmp_path, capsys, command):
+        doc = network_to_dict(presets.toy2())
+        doc["layers"][1]["conv"]["pad"] = 3
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        assert main([*command, "--net", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: pad 3 exceeds k-1=2, transpose undefined"]
+
     @pytest.mark.parametrize(
         "key, value", [("num_cu", "16"), ("clock_hz", float("nan"))], ids=["num-cu-text", "clock-nan"]
     )

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from convtraffic.reference import (
     act_forward,
     conv_backward_delta,
     conv_forward,
     finite_diff_gradient,
+    kernel_gradient,
     kernel_update,
     pool_backward,
     pool_forward,
@@ -124,3 +128,83 @@ class TestDeterminism:
             x = rng.standard_normal((2, 6, 6)).astype(np.float32)
             once = act_forward(x)
             assert np.array_equal(act_forward(once), once)
+
+
+# The reference's window code before it moved to one strided view over a
+# zero-filled pad; kept as the bit-level oracle for that rewrite.
+def _old_windows(x, k, stride, pad):
+    xpad = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    return sliding_window_view(xpad, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+
+
+def _old_conv_forward(x, ker, spec):
+    win = _old_windows(x, spec.k, spec.stride, spec.pad)
+    return np.moveaxis(np.tensordot(win, ker, axes=([0, 3, 4], [0, 2, 3])), 2, 0)
+
+
+def _old_kernel_gradient(x, delta, spec):
+    win = _old_windows(x, spec.k, spec.stride, spec.pad)
+    return np.tensordot(win, delta, axes=([1, 2], [1, 2])).transpose(0, 3, 1, 2)
+
+
+def _old_conv_backward_delta(delta_y, ker, spec):
+    swapped = np.ascontiguousarray(np.transpose(ker[:, :, ::-1, ::-1], (1, 0, 2, 3)))
+    transposed = ConvSpec(spec.m, spec.n, spec.k, stride=1, pad=spec.k - 1 - spec.pad)
+    return _old_conv_forward(delta_y, swapped, transposed)
+
+
+def _old_pool_forward(x, pool):
+    win = sliding_window_view(x, (pool.p, pool.p), axis=(1, 2))
+    win = win[:, :: pool.stride, :: pool.stride]
+    return win.sum(axis=(3, 4)) * np.asarray(1.0 / (pool.p * pool.p), dtype=x.dtype)
+
+
+def _laid_out(a, layout):
+    """a in C order, in the (maps last, moved to front) order conv_forward
+    returns, or in Fortran order: the sums' order may follow the layout."""
+    if layout == "moved":
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, 2)), 2, 0)
+    return np.asfortranarray(a) if layout == "F" else a
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def conv_cases(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    k = draw(st.integers(1, 5))
+    stride, pad = draw(st.integers(1, k)), draw(st.integers(0, k - 1))
+    # non-square maps, never smaller than one window of the padded input
+    h, w = (draw(st.integers(max(1, k - 2 * pad), 9)) for _ in range(2))
+    p = draw(st.integers(1, min(5, h, w)))
+    pool = PoolSpec(p, draw(st.integers(1, p)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    layout = draw(st.sampled_from(["C", "moved", "F"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, m, k, stride, pad, h, w, pool, dtype, layout, seed
+
+
+class TestWindowsKeepBits:
+    """conv_forward, kernel_gradient, conv_backward_delta and pool_forward give,
+    byte for byte, what np.pad + sliding_window_view + tensordot gave."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(conv_cases())
+    def test_same_bits_as_pad_and_sliding_windows(self, case):
+        n, m, k, stride, pad, h, w, pool, dtype, layout, seed = case
+        rng = np.random.default_rng(seed)
+        spec = ConvSpec(n, m, k, stride=stride, pad=pad)
+        x = _laid_out(rng.standard_normal((n, h, w)).astype(dtype), layout)
+        ker = rng.standard_normal((n, m, k, k)).astype(dtype)
+        ho, wo = spec.out_dims(h, w)
+        delta = _laid_out(rng.standard_normal((m, ho, wo)).astype(dtype), layout)
+        assert _same_bits(conv_forward(x, ker, spec), _old_conv_forward(x, ker, spec))
+        assert _same_bits(kernel_gradient(x, delta, spec), _old_kernel_gradient(x, delta, spec))
+
+        unit = ConvSpec(n, m, k, stride=1, pad=pad)
+        dy = _laid_out(rng.standard_normal((m, *unit.out_dims(h, w))).astype(dtype), layout)
+        assert _same_bits(conv_backward_delta(dy, ker, unit),
+                          _old_conv_backward_delta(dy, ker, unit))
+        assert _same_bits(pool_forward(x, pool), _old_pool_forward(x, pool))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from convtraffic.errors import GradcheckError, ShapeError
+from convtraffic.errors import ConfigError, GradcheckError, ShapeError
 from convtraffic.reference import (
     act_backward,
     act_forward,
@@ -153,9 +153,16 @@ class TestConvBackwardDelta:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_stride_rejected(self):
-        with pytest.raises(ShapeError, match="stride 1"):
+        with pytest.raises(ConfigError, match="stride 1"):
             conv_backward_delta(
                 np.zeros((1, 2, 2)), np.zeros((1, 1, 2, 2)), ConvSpec(1, 1, 2, stride=2)
+            )
+
+    def test_pad_rejected(self):
+        # a pad above k-1 would give the transposed conv a negative pad
+        with pytest.raises(ConfigError, match="exceeds k-1=1"):
+            conv_backward_delta(
+                np.zeros((1, 4, 4)), np.zeros((1, 1, 2, 2)), ConvSpec(1, 1, 2, pad=2)
             )
 
 

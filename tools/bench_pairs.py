@@ -12,8 +12,11 @@ gets each side's median and quartiles, the change of the median relative
 to PARENT's, how many pairs the change won (ties count for neither side),
 and whether a gain may be claimed: the change won at least nine tenths of
 the pairs and the medians differ, in the better direction, by more than
-the distance between PARENT's quartiles. Exit status 1 when a run fails or
-reports `correct: false`.
+the distance between PARENT's quartiles. Each metric's line also says
+whether the change's median stays within the metric's BENCHMARK.json
+`bound`, taken relative to PARENT's median in the metric's worse direction.
+Exit status 1 when a run fails or reports `correct: false`, or when any
+metric is outside its bound.
 """
 
 from __future__ import annotations
@@ -47,10 +50,12 @@ def summary(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def report(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
+def report(metrics: list[dict], runs: dict[str, list[dict]]) -> tuple[list[str], list[str]]:
+    """The table's lines, and the names of the metrics outside their bound."""
     pairs = len(runs["parent"])
     lines = [f"{'metric':12} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30} "
-             f"{'change':>8} {'wins':>6}  gain"]
+             f"{'change':>8} {'wins':>6}  gain  bound"]
+    outside = []
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
@@ -60,10 +65,14 @@ def report(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
         better = (pm - cm) if lower else (cm - pm)
         claimable = wins >= 0.9 * pairs and better > p3 - p1
         relative = (cm - pm) / pm if pm else float("nan")
+        within = -better <= metric["bound"] * abs(pm)
+        if not within:
+            outside.append(name)
         lines.append(f"{name:12} {pm:>12.4g} [{p1:.4g}, {p3:.4g}]".ljust(43)
                      + f" {cm:>12.4g} [{c1:.4g}, {c3:.4g}]".ljust(31)
-                     + f" {relative:>+8.1%} {wins:>3}/{pairs:<2}  {'yes' if claimable else 'no'}")
-    return lines
+                     + f" {relative:>+8.1%} {wins:>3}/{pairs:<2}  {'yes' if claimable else 'no':4}"
+                     + f" {'within' if within else 'OUTSIDE'} {metric['bound']:g}")
+    return lines, outside
 
 
 def main(argv=None) -> int:
@@ -96,10 +105,13 @@ def main(argv=None) -> int:
                   f"failed={result['failed']}/{result['attempted']} {values}", file=sys.stderr)
     print(f"{args.workload}: {args.pairs} pairs, --seconds {args.seconds}, "
           f"seeds {' '.join(map(str, args.seeds))}")
-    print("\n".join(report(metrics, runs)))
+    lines, outside = report(metrics, runs)
+    print("\n".join(lines))
     if incorrect:
         print(f"error: {incorrect} run(s) reported correct: false", file=sys.stderr)
-    return 1 if incorrect else 0
+    if outside:
+        print(f"error: outside the bound: {' '.join(outside)}", file=sys.stderr)
+    return 1 if incorrect or outside else 0
 
 
 if __name__ == "__main__":
