@@ -122,14 +122,14 @@ def pool_backward(delta: np.ndarray, pool: PoolSpec, in_h: int, in_w: int) -> np
             f"delta dims {delta.shape[1]}x{delta.shape[2]} do not match "
             f"pooled dims {ph}x{pw} for input {in_h}x{in_w}"
         )
-    inv = np.asarray(1.0 / (pool.p * pool.p), dtype=delta.dtype)
+    scaled = delta * np.asarray(1.0 / (pool.p * pool.p), dtype=delta.dtype)
     out = np.zeros((delta.shape[0], in_h, in_w), dtype=delta.dtype)
     s, p = pool.stride, pool.p
-    for r in range(ph):
-        for c in range(pw):
-            out[:, r * s : r * s + p, c * s : c * s + p] += (
-                delta[:, r : r + 1, c : c + 1] * inv
-            )
+    # tap (u, v) of window (r, c) is input (r*s + u, c*s + v); with u and v
+    # descending, every input adds its windows in ascending (r, c) order
+    for u in reversed(range(p)):
+        for v in reversed(range(p)):
+            out[:, u : u + (ph - 1) * s + 1 : s, v : v + (pw - 1) * s + 1 : s] += scaled
     return out
 
 

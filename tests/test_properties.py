@@ -159,6 +159,17 @@ def _old_pool_forward(x, pool):
     return win.sum(axis=(3, 4)) * np.asarray(1.0 / (pool.p * pool.p), dtype=x.dtype)
 
 
+def _old_pool_backward(delta, pool, in_h, in_w):
+    ph, pw = pool.out_dims(in_h, in_w)
+    inv = np.asarray(1.0 / (pool.p * pool.p), dtype=delta.dtype)
+    out = np.zeros((delta.shape[0], in_h, in_w), dtype=delta.dtype)
+    s, p = pool.stride, pool.p
+    for r in range(ph):
+        for c in range(pw):
+            out[:, r * s : r * s + p, c * s : c * s + p] += delta[:, r : r + 1, c : c + 1] * inv
+    return out
+
+
 def _laid_out(a, layout):
     """a in C order, in the (maps last, moved to front) order conv_forward
     returns, or in Fortran order: the sums' order may follow the layout."""
@@ -208,3 +219,29 @@ class TestWindowsKeepBits:
         assert _same_bits(conv_backward_delta(dy, ker, unit),
                           _old_conv_backward_delta(dy, ker, unit))
         assert _same_bits(pool_forward(x, pool), _old_pool_forward(x, pool))
+
+
+class TestPoolBackwardKeepsBits:
+    """pool_backward adds each input's windows in the order the per-window
+    loop did, byte for byte."""
+
+    # overlapping (p > s) pools, abutting ones, and pools whose windows leave
+    # the last rows and columns uncovered; p = 4 at stride 1 gives up to 16
+    # windows per input
+    @pytest.mark.parametrize("p, s, h, w", [(3, 1, 9, 11), (3, 2, 13, 12), (4, 3, 12, 14),
+                                            (2, 2, 9, 8), (4, 1, 10, 9), (1, 1, 4, 5)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["C", "moved", "F"])
+    def test_same_bits_as_the_window_loop(self, p, s, h, w, dtype, layout):
+        pool = PoolSpec(p, s)
+        ph, pw = pool.out_dims(h, w)
+        rng = np.random.default_rng(100 * p + 10 * s + h)
+        shape = (3, ph, pw)
+        # wide magnitudes, so a change in the order of additions shows, and
+        # zeros of both signs, one map of negative zeros only
+        d = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+        d[rng.random(shape) < 0.2] = 0.0
+        d[rng.random(shape) < 0.2] = -0.0
+        d[1] = -0.0
+        d = _laid_out(d.astype(dtype), layout)
+        assert _same_bits(pool_backward(d, pool, h, w), _old_pool_backward(d, pool, h, w))

@@ -6,12 +6,12 @@ import pytest
 from convtraffic.archmodel import cycle_count, sram_budget
 from convtraffic.errors import ConfigError
 from convtraffic.reference import conv_forward, super_forward
+from convtraffic import simulator
 from convtraffic.simulator import (
     LineBuffer,
     _act_pool_engine,
     _pool_transpose_gather,
     accumulate_row,
-    band_windows,
     kernel_matrix,
     pool_engine_schedule,
     run_super_layer,
@@ -38,20 +38,21 @@ class TestBankGrid:
         lb = LineBuffer(2, 3, 7)
         for y in range(3):
             lb.fill_row(y, data[:, y])
-        for r in (0,):
-            block = band_windows(lb.band(r), 1)
+        block = lb.windows(0, 1)
+        for c in range(5):
+            assert np.array_equal(block[c], data[:, 0:3, c : c + 3])
+        # slide the band down one row at a time, recycling the banks, so every
+        # rotation r % k is fetched, and re-check
+        for r in (1, 2, 3):
+            lb.fill_row(r + 2, data[:, r + 2])
+            block = lb.windows(r, 1)
             for c in range(5):
                 assert np.array_equal(block[c], data[:, r : r + 3, c : c + 3])
-        # slide the band down one row, recycling the row-0 banks, and re-check
-        lb.fill_row(3, data[:, 3])
-        block = band_windows(lb.band(1), 1)
-        for c in range(5):
-            assert np.array_equal(block[c], data[:, 1:4, c : c + 3])
 
     def test_k1_single_element(self):
         lb = LineBuffer(1, 1, 4)
         lb.fill_row(2, np.array([[9.0, 8.0, 7.0, 6.0]], dtype=np.float32))
-        assert band_windows(lb.band(2), 1)[3, 0] == np.float32(6.0)
+        assert lb.windows(2, 1)[3, 0] == np.float32(6.0)
 
     def test_consecutive_fetches_share_columns(self):
         rng = np.random.default_rng(1)
@@ -60,7 +61,7 @@ class TestBankGrid:
         lb = LineBuffer(1, k, 8)
         for y in range(k):
             lb.fill_row(y, data[:, y])
-        block = band_windows(lb.band(0), 1)
+        block = lb.windows(0, 1)
         a = block[2, 0]
         b = block[3, 0]
         assert np.array_equal(a[:, 1:], b[:, :-1])  # k*(k-1) shared elements
@@ -76,20 +77,26 @@ class TestBankGrid:
         lb.fill_row(1, np.zeros((1, 4), dtype=np.float32))
         lb.fill_row(2, np.zeros((1, 4), dtype=np.float32))  # evicts row 0
         with pytest.raises(RuntimeError, match="not resident"):
-            lb.band(0)
+            lb.windows(0, 1)
 
     def test_band_matches_direct_slice_after_recycling(self):
+        # rows 3 .. 8 recycle the banks of rows 0 .. 5, so the bands at rows
+        # 0 .. 6 take every rotation r % k, at strides 1 and 2
         rng = np.random.default_rng(8)
-        data = rng.standard_normal((3, 7, 6)).astype(np.float32)
-        lb = LineBuffer(3, 3, 6)
-        for y in range(5):  # rows 3 and 4 recycle the banks of rows 0 and 1
-            lb.fill_row(y, data[:, y])
-        assert np.array_equal(lb.band(2), data[:, 2:5])
-        block = band_windows(lb.band(2), 2)  # windows at columns 0 and 2
-        assert block.flags.c_contiguous
-        assert np.array_equal(block, np.stack([data[:, 2:5, c : c + 3] for c in (0, 2)]))
-        with pytest.raises(RuntimeError, match="not resident"):
-            lb.band(1)
+        data = rng.standard_normal((3, 9, 6)).astype(np.float32)
+        for stride in (1, 2):
+            lb = LineBuffer(3, 3, 6)
+            for y in range(2):
+                lb.fill_row(y, data[:, y])
+            for r in range(7):
+                lb.fill_row(r + 2, data[:, r + 2])
+                block = lb.windows(r, stride)  # windows at columns 0, stride, ...
+                assert block.flags.c_contiguous
+                want = np.stack([data[:, r : r + 3, c : c + 3] for c in range(0, 4, stride)])
+                assert _same_bits(block, want)
+                if r > 0:
+                    with pytest.raises(RuntimeError, match="not resident"):
+                        lb.windows(r - 1, stride)
 
 
 class TestLineBuffer:
@@ -106,7 +113,7 @@ class TestLineBuffer:
             lb.admit_row(row, np.full((2, w + 2), float(row), np.float32), w)
         assert lb.external_reads == 2 * h * w
         # real rows 3..5 sit at padded rows 4..6, the last band resident
-        assert lb.band(4)[:, :, 0].tolist() == [[3.0, 4.0, 5.0]] * 2
+        assert lb.windows(4, 1)[0, :, :, 0].tolist() == [[3.0, 4.0, 5.0]] * 2
 
 
 class TestAccumulateSweep:
@@ -476,6 +483,28 @@ _SCHEDULE_CASES = [
 ]
 
 
+# Kernel update adds into the kernel store one row block at a time. At the
+# default budget no case above splits; this one's (576, 384) store spans two
+# blocks, the second partial.
+_KU_CASES = _SCHEDULE_CASES + [
+    ("two-store-blocks", None,
+     SuperLayerSpec(ConvSpec(64, 384, 3, pad=1), 5, 6, True, None), 16),
+]
+
+
+def _store_blocks(conv):
+    """How many row blocks the kernel store of conv splits into."""
+    return -(-conv.n * conv.k * conv.k // max(1, simulator.KU_BLOCK_BYTES // (8 * conv.m)))
+
+
+def _small_store_blocks(monkeypatch, conv):
+    """Shrink the block budget so conv's kernel store splits into at least
+    three row blocks, the last one partial where the row count allows."""
+    rows = conv.n * conv.k * conv.k
+    monkeypatch.setattr(simulator, "KU_BLOCK_BYTES", 8 * conv.m * max(1, (rows - 1) // 3))
+    assert _store_blocks(conv) >= 3
+
+
 class TestScheduleOrder:
     """The datapath is bit-identical to the per-position, per-wave schedule.
 
@@ -511,7 +540,7 @@ class TestScheduleOrder:
             want = want * (prev_pre > 0).astype(np.float32)
         assert _same_bits(r.outputs, want)
 
-    @pytest.mark.parametrize("case", _SCHEDULE_CASES, ids=lambda c: c[0])
+    @pytest.mark.parametrize("case", _KU_CASES, ids=lambda c: c[0])
     @pytest.mark.parametrize("prefix", range(6))
     def test_ku_follows_the_schedule(self, paper_hw, case, prefix):
         _, _, layer, num_cu = case
@@ -545,6 +574,20 @@ class TestScheduleOrder:
         want = _oracle_ku(x, delta, conv)
         assert np.any((want[0] != 0) & (np.abs(want[0]) < np.finfo(np.float32).tiny))
         assert _same_bits(r.grad, want)
+
+    def test_default_budget_splits_only_the_large_store(self):
+        assert [_store_blocks(case[2].conv) for case in _KU_CASES] == [1] * 7 + [2]
+
+    @pytest.mark.parametrize("case", _KU_CASES, ids=lambda c: c[0])
+    @pytest.mark.parametrize("prefix", range(6))
+    def test_ku_in_small_store_blocks(self, paper_hw, case, prefix, monkeypatch):
+        _small_store_blocks(monkeypatch, case[2].conv)
+        self.test_ku_follows_the_schedule(paper_hw, case, prefix)
+
+    @pytest.mark.parametrize("prefix", range(6))
+    def test_ku_zero_signs_in_small_store_blocks(self, paper_hw, prefix, monkeypatch):
+        _small_store_blocks(monkeypatch, ConvSpec(3, 4, 3, pad=1))
+        self.test_ku_zero_signs_and_subnormal_products(paper_hw, prefix)
 
     @pytest.mark.parametrize("p, s", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 3),
                                       (12, 1)])

@@ -15,6 +15,10 @@ the pairs and the medians differ, in the better direction, by more than
 the distance between PARENT's quartiles. Each metric's line also says
 whether the change's median stays within the metric's BENCHMARK.json
 `bound`, taken relative to PARENT's median in the metric's worse direction.
+A last line gives each side's median `passes`, from the run-context line:
+`run.py` keeps every pass's outcomes, so a faster side makes more passes
+and its `peak_rss_mb` rises by that retention, not by the package's own
+memory; compare the two medians before reading a `peak_rss_mb` move.
 Exit status 1 when a run fails or reports `correct: false`, or when any
 metric is outside its bound.
 """
@@ -33,7 +37,8 @@ SIDES = ("parent", "change")
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One benchmark run in a checkout; returns its result line."""
+    """One benchmark run in a checkout; returns its result line, with the
+    run-context line before it under "context"."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
@@ -41,7 +46,9 @@ def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
     if done.returncode != 0 or not lines:
         raise SystemExit(f"error: {' '.join(cmd)} in {root} exited {done.returncode}: "
                          f"{done.stderr.strip()[-500:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["context"] = json.loads(lines[-2])["context"]
+    return result
 
 
 def summary(values: list[float]) -> tuple[float, float, float]:
@@ -102,11 +109,15 @@ def main(argv=None) -> int:
             incorrect += not result["correct"]
             values = " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items())
             print(f"pair {i} seed {seed} {side}: correct={result['correct']} "
-                  f"failed={result['failed']}/{result['attempted']} {values}", file=sys.stderr)
+                  f"failed={result['failed']}/{result['attempted']} "
+                  f"passes={result['context']['passes']} {values}", file=sys.stderr)
     print(f"{args.workload}: {args.pairs} pairs, --seconds {args.seconds}, "
           f"seeds {' '.join(map(str, args.seeds))}")
     lines, outside = report(metrics, runs)
     print("\n".join(lines))
+    print("passes (median): " + ", ".join(
+        f"{side} {statistics.median(r['context']['passes'] for r in runs[side]):g}"
+        for side in SIDES))
     if incorrect:
         print(f"error: {incorrect} run(s) reported correct: false", file=sys.stderr)
     if outside:
