@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .specs import ConvSpec, SuperLayerSpec
@@ -15,7 +15,7 @@ class HwConfig:
 
     num_cu: int
     word_bytes: int
-    relu_pool_units: int  # parallel rectifier + pooling units (R)
+    relu_pool_units: int  # parallel rectifier + pooling units (R); no model reads it
     clock_hz: float
     bitstream_bytes: int
     cfg_bus_bytes_per_cycle: int
@@ -58,24 +58,6 @@ class HwConfig:
             raise ConfigError(
                 f"{conv.m} output maps exceed the accumulator budget (max_m={self.max_m})"
             )
-
-    def with_(self, **kwargs) -> "HwConfig":
-        return replace(self, **kwargs)
-
-    def to_dict(self) -> dict:
-        return {
-            "num_cu": self.num_cu,
-            "word_bytes": self.word_bytes,
-            "relu_pool_units": self.relu_pool_units,
-            "clock_hz": self.clock_hz,
-            "bitstream_bytes": self.bitstream_bytes,
-            "cfg_bus_bytes_per_cycle": self.cfg_bus_bytes_per_cycle,
-            "cfg_clock_hz": self.cfg_clock_hz,
-            "dram_bytes_per_s": self.dram_bytes_per_s,
-            "max_n": self.max_n,
-            "max_m": self.max_m,
-            "max_k": self.max_k,
-        }
 
 
 @dataclass(frozen=True)
@@ -168,10 +150,7 @@ def reconfig_overhead(hw: HwConfig, compute_seconds: float) -> ReconfigReport:
     share of wall time it adds on top of the given compute time."""
     if compute_seconds < 0:
         raise ConfigError(f"compute_seconds must be non-negative, got {compute_seconds}")
-    rate = hw.cfg_bus_bytes_per_cycle * hw.cfg_clock_hz
-    if rate <= 0:
-        raise ConfigError("configuration bus rate must be positive")
-    cfg_seconds = hw.bitstream_bytes / rate
+    cfg_seconds = hw.bitstream_bytes / (hw.cfg_bus_bytes_per_cycle * hw.cfg_clock_hz)
     return ReconfigReport(cfg_seconds=cfg_seconds, compute_seconds=compute_seconds)
 
 

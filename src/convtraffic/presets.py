@@ -7,6 +7,8 @@ table or figure it came from.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .archmodel import HwConfig
 from .errors import ConfigError
 from .specs import ConvSpec, NetworkSpec, PoolSpec, SuperLayerSpec
@@ -61,7 +63,7 @@ def paper_hw() -> HwConfig:
 def shared_345_hw() -> HwConfig:
     """The single design sized for layers 3-5 (256x384 maps, 48 CUs), reused
     across those layers without reloading a bitstream."""
-    return paper_hw().with_(num_cu=48, max_n=256, max_m=384, max_k=3)
+    return replace(paper_hw(), num_cu=48, max_n=256, max_m=384, max_k=3)
 
 
 NETWORK_PRESETS = {"alexnet": alexnet, "toy2": toy2}

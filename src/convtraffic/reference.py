@@ -24,7 +24,6 @@ from .specs import (
     NetworkSpec,
     PoolSpec,
     SuperLayerSpec,
-    TrainConfig,
     check_kernels,
     check_maps,
 )
@@ -169,23 +168,6 @@ def kernel_gradient(x: np.ndarray, delta: np.ndarray, spec: ConvSpec) -> np.ndar
     win = _padded_windows(x.astype(common, copy=False), spec.k, spec.stride, spec.pad)
     grad = np.tensordot(win, delta.astype(common, copy=False), axes=([1, 2], [1, 2]))
     return grad.transpose(0, 3, 1, 2)
-
-
-def kernel_update(
-    ker: np.ndarray,
-    x: np.ndarray,
-    delta: np.ndarray,
-    spec: ConvSpec,
-    train: TrainConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient-descent step on a kernel bank. Returns (updated kernels, gradient)."""
-    check_kernels(ker, spec)
-    common = np.result_type(ker.dtype, x.dtype, delta.dtype)
-    grad = kernel_gradient(
-        x.astype(common, copy=False), delta.astype(common, copy=False), spec
-    )
-    updated = ker.astype(common, copy=False) - np.asarray(train.alpha, common) * grad
-    return updated, grad
 
 
 def finite_diff_gradient(

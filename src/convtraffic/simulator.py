@@ -157,29 +157,6 @@ def accumulate_row(block: np.ndarray, kmat: np.ndarray, num_cu: int) -> np.ndarr
     return acc
 
 
-def pool_engine_schedule(
-    m: int,
-    conv_cycles_budget: int,
-    pool: PoolSpec,
-    relu_pool_units: int,
-    conv_out_h: int,
-    conv_out_w: int,
-) -> tuple[bool, int]:
-    """Whether R parallel rectifier/pooling units keep up with the conv engine.
-
-    One output-position batch delivers m conv results; the pooling work
-    attributable to it is the average window-tap count per conv position,
-    m * p^2 * pooled_elems / conv_positions taps, split across R units.
-    Returns (feasible, required_cycles).
-    """
-    if relu_pool_units < 1:
-        raise ConfigError(f"need at least one rectifier/pooling unit, got {relu_pool_units}")
-    ph, pw = pool.out_dims(conv_out_h, conv_out_w)
-    work = m * pool.p * pool.p * ph * pw / (conv_out_h * conv_out_w)
-    required = math.ceil(work / relu_pool_units)
-    return required <= conv_cycles_budget, required
-
-
 @dataclass
 class SimResult:
     """Functional outputs plus the exact transaction totals of one run."""

@@ -161,23 +161,6 @@ class NetworkSpec:
                     f"layer {i + 2} input {nxt.input_h}x{nxt.input_w}"
                 )
 
-    def in_maps_total(self, index: int) -> int:
-        return self.groups[index] * self.layers[index].conv.n
-
-    def out_maps_total(self, index: int) -> int:
-        return self.groups[index] * self.layers[index].conv.m
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Gradient-descent settings for kernel updates."""
-
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ShapeError(f"learning rate must be non-negative, got {self.alpha}")
-
 
 def check_maps(x: np.ndarray, maps: int, h: int, w: int, name: str = "maps") -> None:
     """Validate a feature-map array against expected (maps, h, w)."""
@@ -258,6 +241,8 @@ def network_from_dict(doc: dict) -> NetworkSpec:
     raw_layers = _require(doc, "layers", "")
     if not isinstance(raw_layers, list):
         raise ShapeError(f"key '.layers' must be a list, got {raw_layers!r}")
+    if not raw_layers:
+        raise ShapeError("key '.layers' must list at least one layer")
     layers: list[SuperLayerSpec] = []
     groups: list[int] = []
     prev_dims: tuple[int, int] | None = None

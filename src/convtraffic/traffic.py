@@ -191,8 +191,6 @@ def _conv_stage_words(
     ho, wo = conv.out_dims(in_h, in_w)
     positions = ho * wo * batch * groups
     if strategies.line_buffer:
-        if s > k:
-            raise ConfigError(f"line buffer needs stride <= k, got {s} > {k}")
         rows = used_extent(in_h, k, s, pad)
         cols = used_extent(in_w, k, s, pad)
         feature = n * rows * cols * batch * groups  # each touched element once

@@ -11,7 +11,7 @@ from .errors import ConfigError
 from .reference import kernel_gradient, super_backward_delta, super_forward
 from .simulator import SimResult, run_super_layer
 from .specs import NetworkSpec, SuperLayerSpec
-from .traffic import Phase, StrategySet, TrafficReport, op_count, super_traffic
+from .traffic import Phase, StrategySet, TrafficReport, super_traffic
 
 
 def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -78,12 +78,9 @@ def reference_phase_result(
 class LayerCheck:
     """Outcome of simulating one layer and checking it against the models."""
 
-    index: int
-    phase: Phase
     sim_traffic: TrafficReport
     cycles: int
     last_run: SimResult
-    model: TrafficReport
     model_match: bool | None = None
     model_mismatch: str = ""
     reference_error: float | None = None
@@ -112,9 +109,10 @@ def simulate_layer(
     groups = net.groups[index]
     prev_layer = net.layers[index - 1] if index > 0 else None
     rng = np.random.default_rng(seed)
+    batch_net = replace(net, batch=batch)  # rejects a batch below 1
 
-    in_bytes = out_bytes = ker_bytes = cycles = 0
-    last: SimResult | None = None
+    sim_traffic = TrafficReport()
+    cycles = 0
     reference_error = None
     for _ in range(batch):
         tensors = random_phase_tensors(rng, layer, prev_layer, phase)
@@ -132,34 +130,21 @@ def simulate_layer(
             compute=compute,
             trace=trace,
         )
-        in_bytes += result.traffic.input_bytes
-        out_bytes += result.traffic.output_bytes
-        ker_bytes = result.traffic.kernel_bytes
+        sim_traffic += result.traffic
         cycles += result.cycles
-        last = result
         if check_reference and compute:
             expected = reference_phase_result(layer, prev_layer, tensors, phase)
             got = result.grad if phase is Phase.KU else result.outputs
             err = max_relative_error(got, expected)
             reference_error = err if reference_error is None else max(reference_error, err)
 
-    conv_ops, act_ops, pool_ops = op_count(layer, batch, groups)
-    sim_traffic = TrafficReport(
-        input_bytes=in_bytes,
-        output_bytes=out_bytes,
-        kernel_bytes=ker_bytes,
-        conv_ops=conv_ops,
-        act_ops=act_ops if phase is Phase.FP else 0,
-        pool_ops=pool_ops if phase is Phase.FP else 0,
-    )
-    model = super_traffic(index, replace(net, batch=batch), phase, strategies, hw.word_bytes)
+    # the kernel preload is charged once, not once per image
+    sim_traffic = replace(sim_traffic, kernel_bytes=result.traffic.kernel_bytes)
+    model = super_traffic(index, batch_net, phase, strategies, hw.word_bytes)
     check = LayerCheck(
-        index=index,
-        phase=phase,
         sim_traffic=sim_traffic,
         cycles=cycles,
-        last_run=last,
-        model=model,
+        last_run=result,
         reference_error=reference_error,
     )
     if check_model:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -22,11 +23,11 @@ class TestPeakThroughput:
         assert peak_throughput(paper_hw, 5) == pytest.approx(107.408e9)
 
     def test_single_unit_k1(self, paper_hw):
-        hw = paper_hw.with_(num_cu=1)
+        hw = replace(paper_hw, num_cu=1)
         assert peak_throughput(hw, 1) == hw.clock_hz
 
     def test_linear_in_units(self, paper_hw):
-        assert peak_throughput(paper_hw.with_(num_cu=32), 5) == pytest.approx(
+        assert peak_throughput(replace(paper_hw, num_cu=32), 5) == pytest.approx(
             2 * peak_throughput(paper_hw, 5)
         )
 
@@ -71,7 +72,7 @@ class TestLogicEfficiency:
         assert report.controlled_efficiency == pytest.approx(256 / 288)
 
     def test_exact_fit_both_full(self):
-        hw = presets.shared_345_hw().with_(max_n=96, max_m=48, num_cu=48)
+        hw = replace(presets.shared_345_hw(), max_n=96, max_m=48, num_cu=48)
         layer = SuperLayerSpec(ConvSpec(96, 48, 3, 1, 1), 6, 6, has_act=False)
         report = logic_efficiency(layer, hw)
         assert report.naive_efficiency == 1.0
@@ -99,7 +100,7 @@ class TestSramBudget:
 
     def test_linear_in_word_bytes(self, alexnet, paper_hw):
         narrow = sram_budget(alexnet.layers[1], paper_hw)
-        wide = sram_budget(alexnet.layers[1], paper_hw.with_(word_bytes=8))
+        wide = sram_budget(alexnet.layers[1], replace(paper_hw, word_bytes=8))
         assert wide.kernel_sram_bytes == 2 * narrow.kernel_sram_bytes
         assert wide.line_buffer_bytes == 2 * narrow.line_buffer_bytes
 
@@ -120,7 +121,7 @@ class TestReconfig:
         assert report.overhead_fraction == pytest.approx(0.11, abs=0.01)
 
     def test_empty_bitstream_zero_overhead(self, paper_hw):
-        report = reconfig_overhead(paper_hw.with_(bitstream_bytes=0), 0.7)
+        report = reconfig_overhead(replace(paper_hw, bitstream_bytes=0), 0.7)
         assert report.cfg_seconds == 0.0
         assert report.overhead_fraction == 0.0
 

@@ -1,16 +1,19 @@
+import csv
+import io
 import json
+from dataclasses import asdict
 
 import pytest
 
-from convtraffic import presets
-from convtraffic.cli import main, parse_configs
+from convtraffic import cli, presets
+from convtraffic.cli import load_hw, load_network, main
 from convtraffic.errors import ShapeError
 from convtraffic.specs import network_to_dict
 
 
 class TestParseConfigs:
     def test_alexnet_preset(self):
-        net, hw = parse_configs("alexnet", "paper")
+        net, hw = load_network("alexnet"), load_hw("paper")
         assert len(net.layers) == 5
         assert net.batch == 128
         assert net.groups == (1, 2, 1, 2, 2)
@@ -21,7 +24,7 @@ class TestParseConfigs:
         doc = network_to_dict(net)
         path = tmp_path / "net.json"
         path.write_text(json.dumps(doc))
-        loaded, _ = parse_configs(str(path), "paper")
+        loaded = load_network(str(path))
         assert loaded == net
 
     def test_missing_key_names_path(self, tmp_path):
@@ -30,7 +33,7 @@ class TestParseConfigs:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ShapeError, match=r"layers\[0\]\.conv\.k"):
-            parse_configs(str(path), "paper")
+            load_network(str(path))
 
     def test_negative_stride_rejected(self, tmp_path):
         doc = network_to_dict(presets.alexnet())
@@ -38,7 +41,7 @@ class TestParseConfigs:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ShapeError, match="stride"):
-            parse_configs(str(path), "paper")
+            load_network(str(path))
 
     def test_incompatible_layers_name_index(self, tmp_path):
         doc = network_to_dict(presets.alexnet())
@@ -46,7 +49,7 @@ class TestParseConfigs:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ShapeError, match="layer 2"):
-            parse_configs(str(path), "paper")
+            load_network(str(path))
 
 
 class TestAnalyze:
@@ -64,9 +67,18 @@ class TestAnalyze:
     def test_empty_network(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"name": "empty", "batch": 1, "layers": []}))
-        assert main(["analyze", "--net", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "layer" in out  # header renders, no rows
+        assert main(["analyze", "--net", str(path)]) == 2
+        assert capsys.readouterr().err == "error: key '.layers' must list at least one layer\n"
+
+    def test_batch_override_matches_roofline(self, capsys):
+        flags = ["--net", "alexnet", "--strategies", "1-4", "--batch", "1", "--format", "json"]
+        assert main(["analyze", *flags]) == 0
+        total = json.loads(capsys.readouterr().out)["total"]["normalized_bw"]
+        assert main(["roofline", *flags]) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        ours = next(p for p in points if p["work"] == "this model")
+        assert ours["normalized_bw"] == total
+        assert total == pytest.approx(10.1425, rel=1e-5)  # not the batch-128 3.18984
 
     def test_dp_skips_first_layer(self, capsys):
         assert main(["analyze", "--net", "alexnet", "--phase", "dp", "--format", "json"]) == 0
@@ -118,11 +130,21 @@ class TestFrontDoor:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: pad 3 exceeds k-1=2, transpose undefined"]
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "gradcheck", "roofline"])
+    def test_empty_network_rejected(self, tmp_path, capsys, command):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"name": "empty", "batch": 1, "layers": []}))
+        assert main([command, "--net", str(path)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and ".layers" in err[0]
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "key, value", [("num_cu", "16"), ("clock_hz", float("nan"))], ids=["num-cu-text", "clock-nan"]
     )
     def test_bad_hardware_document(self, tmp_path, capsys, key, value):
-        doc = presets.paper_hw().to_dict()
+        doc = asdict(presets.paper_hw())
         doc[key] = value
         path = tmp_path / "hw.json"
         path.write_text(json.dumps(doc))
@@ -156,8 +178,8 @@ class TestFrontDoor:
 
     def test_hardware_document_round_trip(self, tmp_path):
         path = tmp_path / "hw.json"
-        path.write_text(json.dumps(presets.paper_hw().to_dict()))
-        assert parse_configs("toy2", str(path))[1] == presets.paper_hw()
+        path.write_text(json.dumps(asdict(presets.paper_hw())))
+        assert load_hw(str(path)) == presets.paper_hw()
 
 
 class TestSimulate:
@@ -247,7 +269,7 @@ class TestGradcheck:
         assert main(["gradcheck", "--seed", "7", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert all(l["max_rel_err"] <= 1e-3 for l in payload["layers"])
-        assert payload["alpha_zero_hold"] is True
+        assert payload["failures"] == []
 
     def test_corrupted_gradient_fails_with_location(self, capsys):
         assert main(["gradcheck", "--seed", "7", "--corrupt-gradient", "--format", "json"]) == 1
@@ -289,6 +311,44 @@ class TestRoofline:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: --dram")
         assert captured.out == ""
+
+
+def _failure_channel(capsys, argv):
+    """Run a command that fails a check as CSV: exit 1, stdout pure CSV, and
+    every failure on stderr as one FAILED line. Returns those lines."""
+    assert main([*argv, "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(captured.out)))
+    assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
+    err = captured.err.splitlines()
+    assert err and all(line.startswith("FAILED: ") for line in err)
+    return err
+
+
+class TestFailureChannel:
+    def test_compare(self, capsys):
+        err = _failure_channel(capsys, ["compare", "table3-ku"])
+        assert len(err) == 1 and "total normalized BW, ku (MB/GFlop)" in err[0]
+
+    def test_gradcheck(self, capsys):
+        err = _failure_channel(capsys, ["gradcheck", "--seed", "7", "--corrupt-gradient"])
+        assert len(err) == 1 and err[0].startswith("FAILED: layer 1 weight (0, 0, 0, 0)")
+
+    def test_simulate(self, capsys, monkeypatch):
+        real = cli.simulate_layer
+
+        def mismatched(*args, **kwargs):
+            check = real(*args, **kwargs)
+            check.model_match, check.model_mismatch = False, "input_bytes: injected"
+            return check
+
+        monkeypatch.setattr(cli, "simulate_layer", mismatched)
+        argv = ["simulate", "--net", "toy2", "--layer", "2", "--check-against-model"]
+        err = _failure_channel(capsys, argv)
+        assert err == ["FAILED: layer 2: input_bytes: injected"]
+        assert main([*argv, "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["failures"] == ["layer 2: input_bytes: injected"]
 
 
 class TestDeterminism:

@@ -8,13 +8,13 @@ from convtraffic.reference import (
     conv_backward_delta,
     conv_forward,
     finite_diff_gradient,
-    kernel_update,
+    kernel_gradient,
     pool_backward,
     pool_forward,
     super_backward_delta,
     super_forward,
 )
-from convtraffic.specs import ConvSpec, PoolSpec, SuperLayerSpec, TrainConfig
+from convtraffic.specs import ConvSpec, PoolSpec, SuperLayerSpec
 
 from conftest import brute_conv, brute_pool
 
@@ -267,22 +267,13 @@ class TestSuperBackwardDelta:
 
 
 class TestKernelUpdate:
-    def test_alpha_zero_keeps_kernels(self):
-        rng = np.random.default_rng(2)
-        spec = ConvSpec(2, 2, 2)
-        ker = rng.standard_normal((2, 2, 2, 2))
-        x = rng.standard_normal((2, 4, 4))
-        d = rng.standard_normal((2, 3, 3))
-        updated, _ = kernel_update(ker, x, d, spec, TrainConfig(0.0))
-        assert np.array_equal(updated, ker)
+    """The kernel gradient that kernel updating accumulates."""
 
     def test_single_term_hand_value(self):
-        ker = np.array([[[[1.0]]]])
         x = np.array([[[2.0]]])
         d = np.array([[[3.0]]])
-        updated, grad = kernel_update(ker, x, d, ConvSpec(1, 1, 1), TrainConfig(0.1))
-        assert grad[0, 0, 0, 0] == 6.0
-        assert updated[0, 0, 0, 0] == pytest.approx(0.4)
+        grad = kernel_gradient(x, d, ConvSpec(1, 1, 1))
+        assert grad.shape == (1, 1, 1, 1) and grad[0, 0, 0, 0] == 6.0
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -296,16 +287,13 @@ class TestKernelUpdate:
             return 0.5 * float(np.sum((y - target) ** 2))
 
         d = conv_forward(x, ker, spec) - target
-        _, grad = kernel_update(ker, x, d, spec, TrainConfig(0.0))
+        grad = kernel_gradient(x, d, spec)
         fd = finite_diff_gradient(loss, ker, 1e-3)
         assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12) < 1e-3
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            kernel_update(
-                np.zeros((1, 1, 2, 2)), np.zeros((1, 4, 4)), np.zeros((1, 4, 4)),
-                ConvSpec(1, 1, 2), TrainConfig(0.0),
-            )
+            kernel_gradient(np.zeros((1, 4, 4)), np.zeros((1, 4, 4)), ConvSpec(1, 1, 2))
 
 
 class TestFiniteDiff:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from convtraffic.simulator import (
     _pool_transpose_gather,
     accumulate_row,
     kernel_matrix,
-    pool_engine_schedule,
     run_super_layer,
 )
 from convtraffic.specs import ConvSpec, NetworkSpec, PoolSpec, SuperLayerSpec
@@ -172,34 +172,6 @@ class TestAccumulateSweep:
         out = accumulate_row(block, kmat, num_cu=4)
         want = np.stack([self._per_position(w.reshape(-1), kmat, 4, n) for w in block])
         assert _same_bits(out, want)
-
-
-class TestPoolEngineSchedule:
-    def test_layer2_config_feasible_at_r2(self, alexnet, paper_hw):
-        layer = alexnet.layers[1]
-        budget = layer.conv.m * math.ceil(layer.conv.n / paper_hw.num_cu)  # 384 cycles
-        feasible, required = pool_engine_schedule(
-            layer.conv.m, budget, layer.pool, 2, *layer.conv_out_dims()
-        )
-        assert budget == 384
-        assert feasible and required <= budget
-
-    def test_one_unit_per_map_always_feasible(self):
-        pool = PoolSpec(3, 2)
-        feasible, required = pool_engine_schedule(64, 9, pool, 64, 13, 13)
-        assert feasible and required <= 9  # budget of p*p suffices
-
-    def test_double_workload_at_boundary_infeasible(self):
-        pool = PoolSpec(2, 2)
-        # m=4 over a 4x4 conv grid: work = 4*4*4/16 = 4 taps, boundary at budget 4
-        feasible, required = pool_engine_schedule(4, 4, pool, 1, 4, 4)
-        assert feasible and required == 4
-        feasible2, required2 = pool_engine_schedule(8, 4, pool, 1, 4, 4)
-        assert not feasible2 and required2 == 8
-
-    def test_zero_units_rejected(self):
-        with pytest.raises(ConfigError):
-            pool_engine_schedule(1, 1, PoolSpec(2, 2), 0, 4, 4)
 
 
 def _toy_layer():
@@ -515,7 +487,7 @@ class TestScheduleOrder:
     @pytest.mark.parametrize("prefix", range(6))
     def test_fp_and_dp_follow_the_schedule(self, paper_hw, case, prefix):
         _, prev, layer, num_cu = case
-        hw = paper_hw.with_(num_cu=num_cu)
+        hw = replace(paper_hw, num_cu=num_cu)
         conv = layer.conv
         rng = np.random.default_rng(prefix)
         x = rng.standard_normal((conv.n, layer.input_h, layer.input_w)).astype(np.float32)
@@ -549,7 +521,7 @@ class TestScheduleOrder:
         x = rng.standard_normal((conv.n, layer.input_h, layer.input_w)).astype(np.float32)
         kers = rng.standard_normal((conv.n, conv.m, conv.k, conv.k)).astype(np.float32)
         delta = rng.standard_normal((conv.m, *layer.conv_out_dims())).astype(np.float32)
-        r = run_super_layer(x, kers, layer, paper_hw.with_(num_cu=num_cu),
+        r = run_super_layer(x, kers, layer, replace(paper_hw, num_cu=num_cu),
                             StrategySet.first(prefix), Phase.KU, delta=delta)
         assert _same_bits(r.grad, _oracle_ku(x, delta, conv))
 

@@ -6,7 +6,6 @@ from convtraffic.specs import (
     NetworkSpec,
     PoolSpec,
     SuperLayerSpec,
-    TrainConfig,
     conv_out_dim,
     pool_out_dim,
 )
@@ -56,14 +55,7 @@ class TestSpecValidation:
         with pytest.raises(ShapeError):
             SuperLayerSpec(ConvSpec(1, 1, 3), 5, 5, pool=PoolSpec(4, 1))
 
-    def test_train_config_rejects_negative_rate(self):
-        with pytest.raises(ShapeError):
-            TrainConfig(-0.5)
-
     def test_network_validates_adjacency(self, alexnet):
-        # grouped handoffs line up: 96 -> 2x48, 256 -> 256, 384 -> 2x192
-        assert alexnet.out_maps_total(0) == alexnet.in_maps_total(1) == 96
-        assert alexnet.out_maps_total(1) == alexnet.in_maps_total(2) == 256
         layers = list(alexnet.layers)
         with pytest.raises(ShapeError, match="maps"):
             NetworkSpec("bad", 1, tuple(layers), (1, 1, 1, 2, 2))
