@@ -23,7 +23,7 @@ from .errors import ConfigError, GradcheckError, ShapeError
 from .reference import analytic_kernel_gradients, chain_loss, finite_diff_gradient
 from .reporting import render
 from .specs import NetworkSpec, network_from_dict
-from .traffic import Phase, StrategySet, TrafficReport, network_summary, super_traffic
+from .traffic import Phase, StrategySet, TrafficReport, network_summary, phase_layers, super_traffic
 from .verify import simulate_layer
 
 
@@ -36,7 +36,6 @@ class RunManifest:
     strategies: StrategySet
     phase: Phase
     batch: int | None
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,6 @@ def load_hw(source: str) -> HwConfig:
 def _manifest(args) -> RunManifest:
     if args.batch is not None and args.batch < 1:
         raise ConfigError(f"--batch must be at least 1, got {args.batch}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     net = load_network(args.net)
     if args.batch is not None:
         net = replace(net, batch=args.batch)
@@ -102,7 +99,6 @@ def _manifest(args) -> RunManifest:
         strategies=StrategySet.parse(args.strategies),
         phase=Phase(args.phase),
         batch=args.batch,
-        seed=args.seed,
     )
 
 
@@ -124,9 +120,7 @@ def cmd_analyze(manifest: RunManifest) -> Report:
     headers = ["layer", "gop", "input_mb", "output_mb", "kernel_mb", "total_mb", "mb_per_gflop"]
     rows = []
     payload_layers = []
-    for index in range(len(net.layers)):
-        if manifest.phase is Phase.DP and index == 0:
-            continue
+    for index in phase_layers(net, manifest.phase):
         report = super_traffic(index, net, manifest.phase, manifest.strategies, word)
         rows.append(_traffic_row(index + 1, report))
         payload_layers.append({"layer": index + 1, **report.to_dict()})
@@ -142,18 +136,13 @@ def cmd_analyze(manifest: RunManifest) -> Report:
     return Report(headers, rows, payload)
 
 
-def cmd_simulate(manifest: RunManifest, layer_index: int | None, check_model: bool,
+def cmd_simulate(manifest: RunManifest, seed: int, layer_index: int | None, check_model: bool,
                  check_reference: bool) -> Report:
     net = manifest.network
     batch = manifest.batch or 1
-    if layer_index is not None:
-        if not 1 <= layer_index <= len(net.layers):
-            raise ConfigError(
-                f"layer must be in 1..{len(net.layers)}, got {layer_index}"
-            )
-        if manifest.phase is Phase.DP and layer_index == 1:
-            raise ConfigError("delta propagation is undefined for the first super layer")
-    indices = range(len(net.layers)) if layer_index is None else [layer_index - 1]
+    if layer_index is not None and not 1 <= layer_index <= len(net.layers):
+        raise ConfigError(f"layer must be in 1..{len(net.layers)}, got {layer_index}")
+    indices = phase_layers(net, manifest.phase) if layer_index is None else [layer_index - 1]
     headers = [
         "layer", "phase", "cycles", "input_b", "output_b", "kernel_b",
         "sram_b", "model_match", "ref_err",
@@ -162,11 +151,9 @@ def cmd_simulate(manifest: RunManifest, layer_index: int | None, check_model: bo
     payload_layers = []
     failures: list[str] = []
     for index in indices:
-        if manifest.phase is Phase.DP and index == 0:
-            continue
         check = simulate_layer(
             net, index, manifest.phase, manifest.strategies, manifest.hw,
-            seed=manifest.seed + index, batch=batch,
+            seed=seed + index, batch=batch,
             check_model=check_model, check_reference=check_reference,
         )
         model_ok = check.model_match if check_model else None
@@ -207,7 +194,7 @@ def cmd_simulate(manifest: RunManifest, layer_index: int | None, check_model: bo
         "phase": manifest.phase.value,
         "strategies": manifest.strategies.label(),
         "batch": batch,
-        "seed": manifest.seed,
+        "seed": seed,
         "layers": payload_layers,
         "failures": failures,
     }
@@ -230,9 +217,8 @@ def cmd_compare(preset: str, tolerance: float | None) -> Report:
     return Report(headers, table, payload, failures)
 
 
-def cmd_gradcheck(manifest: RunManifest, epsilon: float, corrupt: bool) -> Report:
-    net = manifest.network
-    rng = np.random.default_rng(manifest.seed)
+def cmd_gradcheck(net: NetworkSpec, seed: int, epsilon: float, corrupt: bool) -> Report:
+    rng = np.random.default_rng(seed)
     first = net.layers[0]
     x0 = rng.standard_normal((first.conv.n, first.input_h, first.input_w))
     banks = [
@@ -275,7 +261,7 @@ def cmd_gradcheck(manifest: RunManifest, epsilon: float, corrupt: bool) -> Repor
 
     payload = {
         "network": net.name,
-        "seed": manifest.seed,
+        "seed": seed,
         "epsilon": epsilon,
         "layers": payload_layers,
         "failures": failures,
@@ -321,19 +307,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_phase=True):
+    def add_common(p, model=True, seed=True):  # a command takes only the flags it reads
         p.add_argument("--net", default="alexnet", help="network preset name or JSON file")
-        p.add_argument("--hw", default="paper", help="hardware preset name or JSON file")
-        if with_phase:
+        if model:
+            p.add_argument("--hw", default="paper", help="hardware preset name or JSON file")
             p.add_argument("--phase", default="fp", choices=["fp", "dp", "ku"])
-        p.add_argument("--strategies", default="all", help="'none', 'all', '1-3', '1,2,4'")
-        p.add_argument("--batch", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--strategies", default="all", help="'none', 'all', '1-3', '1,2,4'")
+            p.add_argument("--batch", type=int, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", default="table", choices=["table", "csv", "json"])
         p.add_argument("--out", default=None, help="write the report to this path")
 
     p = sub.add_parser("analyze", help="closed-form traffic report per layer")
-    add_common(p)
+    add_common(p, seed=False)
 
     p = sub.add_parser("simulate", help="run the schedule simulator")
     add_common(p)
@@ -348,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("gradcheck", help="kernel gradients vs central differences")
-    add_common(p, with_phase=False)
-    p.set_defaults(net="toy2", phase="ku")
+    add_common(p, model=False)
+    p.set_defaults(net="toy2")
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument(
         "--corrupt-gradient", action="store_true",
@@ -357,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("roofline", help="attainable throughput under DRAM caps")
-    add_common(p)
+    add_common(p, seed=False)
     p.add_argument(
         "--dram", default="19.2", help="comma list of DRAM bandwidth points in GB/s"
     )
@@ -367,15 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _report(args) -> Report:
     if args.command == "compare":
         return cmd_compare(args.preset, args.tolerance)
+    if "seed" in args and args.seed < 0:  # simulate and gradcheck draw random tensors
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    if args.command == "gradcheck":
+        return cmd_gradcheck(load_network(args.net), args.seed, args.epsilon, args.corrupt_gradient)
     manifest = _manifest(args)
     if args.command == "analyze":
         return cmd_analyze(manifest)
     if args.command == "simulate":
-        return cmd_simulate(
-            manifest, args.layer, args.check_against_model, args.check_against_reference
-        )
-    if args.command == "gradcheck":
-        return cmd_gradcheck(manifest, args.epsilon, args.corrupt_gradient)
+        return cmd_simulate(manifest, args.seed, args.layer, args.check_against_model,
+                            args.check_against_reference)
     return cmd_roofline(manifest, args.dram)
 
 

@@ -17,6 +17,7 @@ from .specs import SuperLayerSpec
 from .traffic import (
     Phase,
     StrategySet,
+    act_pool_words,
     conv_traffic,
     network_summary,
     op_count,
@@ -46,6 +47,7 @@ def rows_table1() -> list[ComparisonRow]:
     ho, wo = layer.conv_out_dims()
     ph, pw = layer.pool.out_dims(ho, wo)
     none = conv_traffic(layer, StrategySet.none(), batch, WORD)
+    act_words, pool_words = act_pool_words(layer, batch)
     note = "Table 1"
     values = {
         "conv input storage B": conv.n * layer.input_h * layer.input_w * WORD * batch,
@@ -54,8 +56,8 @@ def rows_table1() -> list[ComparisonRow]:
         "kernel storage B": conv.n * conv.m * conv.k**2 * WORD,
         "conv input traffic B (no strategies)": none.input_bytes,
         "conv output traffic B (no strategies)": none.output_bytes,
-        "act stage traffic B": 2 * conv.m * ho * wo * WORD * batch,
-        "pool stage traffic B": (layer.pool.p**2 * ph * pw + ph * pw) * conv.m * WORD * batch,
+        "act stage traffic B": act_words * WORD,
+        "pool stage traffic B": pool_words * WORD,
     }
     return [
         ComparisonRow(name, presets.TABLE1[name], float(values[name]), TOL_STORAGE, note)

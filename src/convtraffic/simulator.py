@@ -48,7 +48,7 @@ from .traffic import (
     StrategySet,
     TrafficReport,
     op_count,
-    transpose_geometry,
+    phase_geometry,
     used_extent,
 )
 
@@ -413,7 +413,6 @@ def run_super_layer(
     prev_layer: SuperLayerSpec | None = None,
     prev_pre_act: np.ndarray | None = None,
     groups: int = 1,
-    compute: bool = True,
     trace: bool = False,
 ) -> SimResult:
     """Run one super layer for one image of one group and scale the counters
@@ -422,7 +421,7 @@ def run_super_layer(
     Per phase, x is the conv input (FP, KU) or the incoming delta at this
     layer's conv output grid (DP). KU additionally takes the delta; DP takes
     the previous layer's spec and, when it has an activation stage, its
-    pre-activation maps for the derivative mask.
+    pre-activation maps for the derivative mask. x None counts only.
     """
     conv = layer.conv
     fused = strategies.fused_super_layer
@@ -432,11 +431,10 @@ def run_super_layer(
         raise ConfigError(f"unknown phase {phase!r}")
     if phase is Phase.DP and prev_layer is None:
         raise ConfigError("delta propagation needs the previous super layer")
-    # the conv geometry the engine runs, and is sized for
-    geometry = transpose_geometry(layer) if phase is Phase.DP else layer
+    geometry = phase_geometry(layer, phase)  # what the engine runs, and is sized for
     budget = sram_budget(geometry, hw)
 
-    if compute:
+    if x is not None:
         check_maps(x, geometry.conv.n, geometry.input_h, geometry.input_w,
                    "delta" if phase is Phase.DP else "input")
         if phase is Phase.KU:
@@ -444,8 +442,6 @@ def run_super_layer(
         check_kernels(kers, conv)
         if phase is Phase.DP:
             kers = np.transpose(kers[:, :, ::-1, ::-1], (1, 0, 2, 3))
-    else:
-        x = kers = delta = None
     swept = _conv_sweep(
         x, kers, geometry.conv, geometry.input_h, geometry.input_w, hw, strategies, counters,
         phase, delta,
@@ -454,13 +450,13 @@ def run_super_layer(
     outputs = pre_act = grad = None
     if phase is Phase.FP:
         pre_act = swept
-        if compute:
+        if x is not None:
             outputs = _act_pool_engine(pre_act, layer)
         if fused:
             _stream_out(counters, conv.m, *layer.out_dims())
     elif phase is Phase.DP:
         prev_h, prev_w = prev_layer.conv_out_dims()
-        if compute:
+        if x is not None:
             outputs = swept
             if prev_layer.pool is not None:
                 outputs = _pool_transpose_gather(outputs, prev_layer.pool, prev_h, prev_w)
@@ -474,14 +470,14 @@ def run_super_layer(
         grad = swept  # gradients accumulate in the kernel store and never stream out
 
     word = hw.word_bytes
-    conv_ops, act_ops, pool_ops = op_count(layer, 1, groups)
+    conv_ops, act_ops, pool_ops = op_count(layer, 1, groups, phase)
     traffic = TrafficReport(
         input_bytes=counters.input_words * word * groups,
         output_bytes=counters.output_words * word * groups,
         kernel_bytes=counters.kernel_words * word * groups,
         conv_ops=conv_ops,
-        act_ops=act_ops if phase is Phase.FP else 0,
-        pool_ops=pool_ops if phase is Phase.FP else 0,
+        act_ops=act_ops,
+        pool_ops=pool_ops,
     )
     return SimResult(
         outputs=outputs,

@@ -11,17 +11,20 @@ reconstruct exactly; the simulator counts the same way):
 * Without the line buffer, every multiply charges its streamed operands,
   including window taps that fall in the zero padding. With the line
   buffer, only real elements the schedule touches are streamed, once each.
-* Fused super-layer reports count feature maps only. The one-time kernel
-  preload, the activation-mask operand in delta propagation, and the
-  kernel-gradient store in kernel updating stay on chip and are charged
-  to nothing.
-* With partial strategy sets the model covers the conv stage of the
-  phase alone (delta propagation maps to the transposed conv geometry,
-  kernel updating to the forward geometry).
+* Every strategy set starts from one conv-stage count on the phase's
+  geometry: delta propagation runs the transposed conv, kernel updating the
+  forward conv. A partial strategy set reports that count alone.
+* Fusion overrides three of its terms: the one-time kernel preload stays on
+  chip; the output term becomes the super layer's own output maps (pooled
+  maps in forward propagation, the previous layer's conv-output grid in
+  delta propagation, nothing in kernel updating, whose gradients stay in
+  the kernel store); and kernel updating adds one read of its delta. The
+  activation-mask operand in delta propagation stays on chip as well.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -168,19 +171,35 @@ def used_extent(size: int, k: int, stride: int, pad: int) -> int:
     return min(size, (out - 1) * stride + k - pad)
 
 
-def op_count(layer: SuperLayerSpec, batch: int, groups: int = 1) -> tuple[int, int, int]:
-    """(conv_ops, act_ops, pool_ops) for the layer, all ops 1 flop."""
+def op_count(
+    layer: SuperLayerSpec, batch: int, groups: int = 1, phase: Phase = Phase.FP
+) -> tuple[int, int, int]:
+    """(conv_ops, act_ops, pool_ops) for the layer, all ops 1 flop. The
+    rectifier and pooling stages run in forward propagation only."""
     conv = layer.conv
     ho, wo = layer.conv_out_dims()
     conv_ops = 2 * conv.k * conv.k * conv.n * conv.m * ho * wo * batch * groups
-    act_ops = conv.m * ho * wo * batch * groups if layer.has_act else 0
+    act_ops = conv.m * ho * wo * batch * groups if layer.has_act and phase is Phase.FP else 0
     pool_ops = 0
-    if layer.pool is not None:
+    if layer.pool is not None and phase is Phase.FP:
         ph, pw = layer.pool.out_dims(ho, wo)
         pool_ops = layer.pool.p * layer.pool.p * ph * pw * conv.m * batch * groups
     if conv_ops >= _COUNT_LIMIT:
         raise ConfigError(f"conv op count {conv_ops} overflows 64-bit counters")
     return conv_ops, act_ops, pool_ops
+
+
+def act_pool_words(layer: SuperLayerSpec, batch: int, groups: int = 1) -> tuple[int, int]:
+    """Unfused (rectifier, pooling) stage words: one read and one write per conv
+    output; one read per window tap and one write per pooled element."""
+    ho, wo = layer.conv_out_dims()
+    maps = layer.conv.m * batch * groups
+    act = 2 * ho * wo * maps if layer.has_act else 0
+    pool = 0
+    if layer.pool is not None:
+        ph, pw = layer.pool.out_dims(ho, wo)
+        pool = (layer.pool.p**2 + 1) * ph * pw * maps
+    return act, pool
 
 
 def _conv_stage_words(
@@ -246,6 +265,17 @@ def transpose_geometry(layer: SuperLayerSpec) -> SuperLayerSpec:
                           has_act=False, pool=None)
 
 
+def phase_geometry(layer: SuperLayerSpec, phase: Phase) -> SuperLayerSpec:
+    """The super-layer geometry a phase's conv stage runs on."""
+    return transpose_geometry(layer) if phase is Phase.DP else layer
+
+
+def phase_layers(net: NetworkSpec, phase: Phase) -> range:
+    """Indices of the super layers a phase is defined on: delta propagation
+    has no first layer, since no delta flows back past the network input."""
+    return range(1 if phase is Phase.DP else 0, len(net.layers))
+
+
 def super_traffic(
     index: int,
     net: NetworkSpec,
@@ -253,68 +283,43 @@ def super_traffic(
     strategies: StrategySet,
     word_bytes: int,
 ) -> TrafficReport:
-    """Traffic of one super layer for the given phase.
-
-    With all five strategies the fused read-once/write-once forms apply;
-    any partial set falls back to the conv-stage model on the phase's
-    equivalent geometry.
-    """
+    """Traffic of one super layer for the given phase: the conv-stage count
+    on the phase's geometry, with fusion's three overrides (module notes)."""
     layer = net.layers[index]
-    groups = net.groups[index]
-    batch = net.batch
-    if phase is Phase.DP and index == 0:
+    if index not in phase_layers(net, phase):
         raise ConfigError("delta propagation is undefined for the first super layer")
-
-    if not strategies.fused_super_layer:
-        geom = transpose_geometry(layer) if phase is Phase.DP else layer
-        report = conv_traffic(geom, strategies, batch, word_bytes, groups)
-        conv_ops, act_ops, pool_ops = op_count(layer, batch, groups)
-        return TrafficReport(
-            input_bytes=report.input_bytes,
-            output_bytes=report.output_bytes,
-            kernel_bytes=report.kernel_bytes,
-            conv_ops=conv_ops,
-            act_ops=act_ops if phase is Phase.FP else 0,
-            pool_ops=pool_ops if phase is Phase.FP else 0,
-        )
-
-    conv = layer.conv
-    ho, wo = layer.conv_out_dims()
-    conv_ops, act_ops, pool_ops = op_count(layer, batch, groups)
-    rows = used_extent(layer.input_h, conv.k, conv.stride, conv.pad)
-    cols = used_extent(layer.input_w, conv.k, conv.stride, conv.pad)
-
-    if phase is Phase.FP:
-        oh, ow = layer.out_dims()
-        in_words = conv.n * rows * cols * batch * groups
-        out_words = conv.m * oh * ow * batch * groups
-    elif phase is Phase.DP:
-        transpose_geometry(layer)  # validates stride 1
-        prev = net.layers[index - 1]
-        prev_h, prev_w = prev.conv_out_dims()
-        in_words = conv.m * ho * wo * batch * groups
-        out_words = conv.n * groups * prev_h * prev_w * batch
-    else:  # Phase.KU
-        in_words = (conv.n * rows * cols + conv.m * ho * wo) * batch * groups
-        out_words = 0  # gradients accumulate in the kernel store
-
+    batch, groups = net.batch, net.groups[index]
+    scale = batch * groups
+    geom = phase_geometry(layer, phase)
+    feature, kernel_stream, out, kernel_store = _conv_stage_words(
+        geom.conv, geom.input_h, geom.input_w, strategies, batch, groups
+    )
+    if strategies.fused_super_layer:
+        kernel_store = 0
+        if phase is Phase.FP:
+            out = layer.conv.m * math.prod(layer.out_dims()) * scale
+        elif phase is Phase.DP:
+            out = layer.conv.n * math.prod(net.layers[index - 1].conv_out_dims()) * scale
+        else:
+            out = 0  # gradients accumulate in the kernel store
+            feature += layer.conv.m * math.prod(layer.conv_out_dims()) * scale
+    conv_ops, act_ops, pool_ops = op_count(layer, batch, groups, phase)
     return TrafficReport(
-        input_bytes=in_words * word_bytes,
-        output_bytes=out_words * word_bytes,
-        kernel_bytes=0,
+        input_bytes=(feature + kernel_stream) * word_bytes,
+        output_bytes=out * word_bytes,
+        kernel_bytes=kernel_store * word_bytes,
         conv_ops=conv_ops,
-        act_ops=act_ops if phase is Phase.FP else 0,
-        pool_ops=pool_ops if phase is Phase.FP else 0,
+        act_ops=act_ops,
+        pool_ops=pool_ops,
     )
 
 
 def network_summary(
     net: NetworkSpec, phase: Phase, strategies: StrategySet, word_bytes: int
 ) -> TrafficReport:
-    """Sum of per-layer reports; layers where the phase is undefined are skipped."""
+    """Sum of the per-layer reports over the layers the phase is defined on."""
     total = TrafficReport()
-    start = 1 if phase is Phase.DP else 0
-    for index in range(start, len(net.layers)):
+    for index in phase_layers(net, phase):
         total = total + super_traffic(index, net, phase, strategies, word_bytes)
     return total
 
@@ -324,29 +329,15 @@ def reduction_factor(
 ) -> float:
     """No-strategy traffic of the whole cascade over the fused traffic.
 
-    The no-strategy numerator charges the conv stage per operand load, the
-    activation stage one read plus one write per element, and the pooling
-    stage one read per window tap plus one write per pooled element. The
-    fused denominator is input maps once, pooled output once, and the
-    one-time kernel preload.
+    The no-strategy numerator charges the conv stage per operand load and
+    the unfused rectifier and pooling stages (act_pool_words). The fused
+    denominator is the line buffer's input maps once, the one-time kernel
+    preload, and the pooled output once.
     """
     if not layer.has_act or layer.pool is None:
         raise ConfigError("reduction factor is defined for layers with act and pool")
-    conv = layer.conv
-    ho, wo = layer.conv_out_dims()
-    ph, pw = layer.pool.out_dims(ho, wo)
-    scale = batch * groups
-
     base = conv_traffic(layer, StrategySet.none(), batch, word_bytes, groups).total_bytes
-    act_words = 2 * conv.m * ho * wo * scale
-    pool_words = (layer.pool.p**2 * ph * pw + ph * pw) * conv.m * scale
-    numerator = base + (act_words + pool_words) * word_bytes
-
-    rows = used_extent(layer.input_h, conv.k, conv.stride, conv.pad)
-    cols = used_extent(layer.input_w, conv.k, conv.stride, conv.pad)
-    fused_words = (
-        conv.n * rows * cols * scale
-        + conv.m * ph * pw * scale
-        + conv.n * conv.m * conv.k**2 * groups
-    )
-    return numerator / (fused_words * word_bytes)
+    numerator = base + sum(act_pool_words(layer, batch, groups)) * word_bytes
+    fused = conv_traffic(layer, StrategySet.all_on(), batch, word_bytes, groups)
+    pooled = layer.conv.m * math.prod(layer.out_dims()) * batch * groups * word_bytes
+    return numerator / (fused.input_bytes + fused.kernel_bytes + pooled)

@@ -11,7 +11,7 @@ from .errors import ConfigError
 from .reference import kernel_gradient, super_backward_delta, super_forward
 from .simulator import SimResult, run_super_layer
 from .specs import NetworkSpec, SuperLayerSpec
-from .traffic import Phase, StrategySet, TrafficReport, super_traffic
+from .traffic import Phase, StrategySet, TrafficReport, phase_geometry, super_traffic
 
 
 def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -29,27 +29,21 @@ def random_phase_tensors(
     prev_layer: SuperLayerSpec | None,
     phase: Phase,
 ) -> dict:
-    """Seeded single-group tensors for one standalone layer run."""
+    """Seeded single-group tensors for one standalone layer run, drawn in
+    this order: kernels, the conv input x in the phase's geometry, then DP's
+    previous pre-activation or KU's delta."""
     conv = layer.conv
-    ho, wo = layer.conv_out_dims()
-    kers = rng.standard_normal((conv.n, conv.m, conv.k, conv.k)).astype(np.float32)
-    tensors: dict = {"kers": kers}
-    if phase is Phase.FP:
-        tensors["x"] = rng.standard_normal((conv.n, layer.input_h, layer.input_w)).astype(
-            np.float32
-        )
-    elif phase is Phase.DP:
-        tensors["x"] = rng.standard_normal((conv.m, ho, wo)).astype(np.float32)
-        if prev_layer is not None and prev_layer.has_act:
-            ph_, pw_ = prev_layer.conv_out_dims()
-            tensors["prev_pre_act"] = rng.standard_normal((conv.n, ph_, pw_)).astype(
-                np.float32
-            )
-    else:
-        tensors["x"] = rng.standard_normal((conv.n, layer.input_h, layer.input_w)).astype(
-            np.float32
-        )
-        tensors["delta"] = rng.standard_normal((conv.m, ho, wo)).astype(np.float32)
+    geom = phase_geometry(layer, phase)
+
+    def draw(*shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    tensors = {"kers": draw(conv.n, conv.m, conv.k, conv.k),
+               "x": draw(geom.conv.n, geom.input_h, geom.input_w)}
+    if phase is Phase.DP and prev_layer is not None and prev_layer.has_act:
+        tensors["prev_pre_act"] = draw(conv.n, *prev_layer.conv_out_dims())
+    elif phase is Phase.KU:
+        tensors["delta"] = draw(conv.m, *layer.conv_out_dims())
     return tensors
 
 
@@ -109,7 +103,9 @@ def simulate_layer(
     groups = net.groups[index]
     prev_layer = net.layers[index - 1] if index > 0 else None
     rng = np.random.default_rng(seed)
-    batch_net = replace(net, batch=batch)  # rejects a batch below 1
+    # the model first: it rejects a batch below 1, or a phase the layer does
+    # not have, before anything is drawn
+    model = super_traffic(index, replace(net, batch=batch), phase, strategies, hw.word_bytes)
 
     sim_traffic = TrafficReport()
     cycles = 0
@@ -118,16 +114,15 @@ def simulate_layer(
         tensors = random_phase_tensors(rng, layer, prev_layer, phase)
         result = run_super_layer(
             tensors["x"] if compute else None,
-            tensors["kers"] if compute else None,
+            tensors["kers"],
             layer,
             hw,
             strategies,
             phase,
-            delta=tensors.get("delta") if compute else None,
+            delta=tensors.get("delta"),
             prev_layer=prev_layer,
             prev_pre_act=tensors.get("prev_pre_act"),
             groups=groups,
-            compute=compute,
             trace=trace,
         )
         sim_traffic += result.traffic
@@ -140,7 +135,6 @@ def simulate_layer(
 
     # the kernel preload is charged once, not once per image
     sim_traffic = replace(sim_traffic, kernel_bytes=result.traffic.kernel_bytes)
-    model = super_traffic(index, batch_net, phase, strategies, hw.word_bytes)
     check = LayerCheck(
         sim_traffic=sim_traffic,
         cycles=cycles,

@@ -331,7 +331,7 @@ def test_criterion_10_property_suite(alexnet, paper_hw):
     cycles_ok = per_position == 384
     cycles_ok &= cycle_count(layer2, paper_hw, 1) == 27 * 27 * 384
     sim = run_super_layer(None, None, layer2, paper_hw, StrategySet.all_on(), Phase.FP,
-                          compute=False, groups=2)
+                          groups=2)
     cycles_ok &= sim.cycles == 2 * 27 * 27 * 384
 
     ok = adjoint_ok and grad_ok and monotone_ok and hist_ok and cycles_ok

@@ -162,6 +162,19 @@ class TestFrontDoor:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "not UTF-8" in err[0]
 
+    @pytest.mark.parametrize("argv", [["gradcheck", "--hw", "paper"],
+                                      ["gradcheck", "--strategies", "none"],
+                                      ["gradcheck", "--batch", "9"],
+                                      ["analyze", "--seed", "7"],
+                                      ["roofline", "--seed", "7"]])
+    def test_flag_the_command_does_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["simulate", "gradcheck"])
     def test_negative_seed(self, capsys, command):
         assert main([command, "--net", "toy2", "--seed", "-1"]) == 2
@@ -196,7 +209,18 @@ class TestSimulate:
 
     def test_explicit_dp_first_layer_rejected(self, capsys):
         assert main(["simulate", "--net", "alexnet", "--phase", "dp", "--layer", "1"]) == 2
-        assert "first super layer" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: delta propagation is undefined for the first super layer"
+        ]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("layer", ["0", "6"])
+    def test_dp_layer_out_of_range(self, capsys, layer):
+        assert main(["simulate", "--net", "alexnet", "--phase", "dp", "--layer", layer]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: layer must be in 1..5, got {layer}"]
+        assert captured.out == ""
 
     def test_layer_index_out_of_range(self, capsys):
         assert main(["simulate", "--net", "alexnet", "--layer", "9"]) == 2

@@ -1,11 +1,15 @@
 """Seeded property sweeps over the reference math and the models."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from convtraffic import presets
+from convtraffic.archmodel import cycle_count, sram_budget
 from convtraffic.reference import (
     act_forward,
     conv_backward_delta,
@@ -15,7 +19,9 @@ from convtraffic.reference import (
     pool_backward,
     pool_forward,
 )
-from convtraffic.specs import ConvSpec, PoolSpec
+from convtraffic.specs import ConvSpec, NetworkSpec, PoolSpec, SuperLayerSpec
+from convtraffic.traffic import Phase, StrategySet, super_traffic, transpose_geometry
+from convtraffic.verify import simulate_layer
 
 
 def random_conv_instance(rng, dtype):
@@ -238,3 +244,61 @@ class TestPoolBackwardKeepsBits:
         d[1] = -0.0
         d = _laid_out(d.astype(dtype), layout)
         assert _same_bits(pool_backward(d, pool, h, w), _old_pool_backward(d, pool, h, w))
+
+
+@st.composite
+def two_layer_nets(draw):
+    """(net, batch): two super layers with non-square maps, stride <= k,
+    pad <= k-1, pooling on or off and 1-2 groups each, at batch 1-3."""
+    groups = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    share = draw(st.integers(1, 2))  # layer 1 feeds groups[0]*m = groups[1]*n maps
+    maps = [draw(st.integers(1, 3)), share * groups[1], share * groups[0], draw(st.integers(1, 3))]
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    layers = []
+    for i in range(2):
+        k = draw(st.integers(1, 4))
+        # the smallest pad that leaves at least one window in the padded maps
+        pad = draw(st.integers(max(0, -(-(k - min(h, w)) // 2)), k - 1))
+        conv = ConvSpec(maps[2 * i], maps[2 * i + 1], k, stride=draw(st.integers(1, k)), pad=pad)
+        ho, wo = conv.out_dims(h, w)
+        pool = None
+        if draw(st.booleans()):
+            p = draw(st.integers(1, min(3, ho, wo)))
+            pool = PoolSpec(p, draw(st.integers(1, p)))
+        layers.append(SuperLayerSpec(conv, h, w, has_act=draw(st.booleans()), pool=pool))
+        h, w = layers[-1].out_dims()
+    return NetworkSpec("random", 1, tuple(layers), groups), draw(st.integers(1, 3))
+
+
+class TestCountersMatchModels:
+    """Counters-only simulator runs equal the traffic model byte for byte,
+    and archmodel's cycles and SRAM, on every defined phase of random
+    two-layer nets, for every strategy prefix and the non-prefix set 2,4."""
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(two_layer_nets())
+    def test_bytes_cycles_and_sram(self, case):
+        net, batch = case
+        hw = presets.paper_hw()
+        sets = [StrategySet.first(count) for count in range(6)] + [StrategySet.parse("2,4")]
+        for index, layer in enumerate(net.layers):
+            phases = [Phase.FP, Phase.KU]
+            if index > 0 and layer.conv.stride == 1:
+                phases.append(Phase.DP)  # delta propagation runs stride 1 only
+            for phase in phases:
+                geom = transpose_geometry(layer) if phase is Phase.DP else layer
+                budget = sram_budget(geom, hw)
+                for strategies in sets:
+                    check = simulate_layer(net, index, phase, strategies, hw, seed=index,
+                                           batch=batch, compute=False)
+                    model = super_traffic(index, replace(net, batch=batch), phase, strategies,
+                                          hw.word_bytes)
+                    case_id = (index, phase, strategies.label())
+                    got = check.sim_traffic
+                    assert got.input_bytes == model.input_bytes, case_id
+                    assert got.output_bytes == model.output_bytes, case_id
+                    assert got.kernel_bytes == model.kernel_bytes, case_id
+                    assert check.cycles == cycle_count(geom, hw, batch) * net.groups[index]
+                    assert check.last_run.sram_bytes == (
+                        budget.kernel_sram_bytes + budget.line_buffer_bytes
+                    )

@@ -201,8 +201,7 @@ class TestRunSuperLayer:
 
     def test_layer2_cycles_per_output_position(self, alexnet, paper_hw):
         layer = alexnet.layers[1]
-        result = run_super_layer(None, None, layer, paper_hw, StrategySet.all_on(),
-                                 Phase.FP, compute=False)
+        result = run_super_layer(None, None, layer, paper_hw, StrategySet.all_on(), Phase.FP)
         positions = 27 * 27
         assert result.cycles == positions * 384  # 48*128/16 per position
 
@@ -210,15 +209,15 @@ class TestRunSuperLayer:
         too_wide = SuperLayerSpec(ConvSpec(1, 1, 13), 20, 20, has_act=False)
         with pytest.raises(ConfigError, match="window-register"):
             run_super_layer(None, None, too_wide, paper_hw, StrategySet.none(),
-                            Phase.FP, compute=False)
+                            Phase.FP)
         too_many = SuperLayerSpec(ConvSpec(500, 1, 3), 8, 8, has_act=False)
         with pytest.raises(ConfigError, match="index-range"):
             run_super_layer(None, None, too_many, paper_hw, StrategySet.none(),
-                            Phase.FP, compute=False)
+                            Phase.FP)
         too_fat = SuperLayerSpec(ConvSpec(1, 500, 3), 8, 8, has_act=False)
         with pytest.raises(ConfigError, match="accumulator"):
             run_super_layer(None, None, too_fat, paper_hw, StrategySet.none(),
-                            Phase.FP, compute=False)
+                            Phase.FP)
 
     def test_dp_requires_stride_one(self, paper_hw):
         layer = SuperLayerSpec(ConvSpec(1, 1, 2, stride=2), 6, 6, has_act=False)
@@ -354,13 +353,13 @@ class TestSimulatorAgainstModel:
                 r = run_super_layer(
                     None, None, layer, paper_hw, StrategySet.all_on(), phase,
                     prev_layer=alexnet.layers[index - 1] if index else None,
-                    groups=alexnet.groups[index], compute=False,
+                    groups=alexnet.groups[index],
                 )
                 geom = transpose_geometry(layer) if phase is Phase.DP else layer
                 budget = sram_budget(geom, paper_hw)
                 assert r.sram_bytes == budget.kernel_sram_bytes + budget.line_buffer_bytes
         dp2 = run_super_layer(None, None, alexnet.layers[1], paper_hw, StrategySet.all_on(),
-                              Phase.DP, prev_layer=alexnet.layers[0], compute=False)
+                              Phase.DP, prev_layer=alexnet.layers[0])
         assert dp2.sram_bytes == 683_520
 
 
