@@ -295,6 +295,8 @@ def cmd_roofline(manifest: RunManifest, dram: str) -> Report:
                     "attainable_flops": attainable,
                 }
             )
+    if not rows:
+        raise ConfigError(f"--dram needs at least one bandwidth point, got {dram!r}")
     payload = {"phase": manifest.phase.value, "points": payload_points}
     return Report(headers, rows, payload)
 

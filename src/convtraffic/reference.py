@@ -175,8 +175,8 @@ def finite_diff_gradient(
 ) -> np.ndarray:
     """Central-difference gradient of a scalar loss w.r.t. every kernel weight,
     evaluated in 64-bit arithmetic."""
-    if epsilon <= 0:
-        raise GradcheckError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise GradcheckError(f"epsilon must be positive and finite, got {epsilon}")
     base = ker.astype(np.float64)
     grad = np.zeros_like(base)
     for idx in np.ndindex(base.shape):

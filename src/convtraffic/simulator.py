@@ -8,21 +8,24 @@ plus exact external word and cycle counters that must agree with the
 closed-form traffic model to the byte. One walker serves FP, DP and KU:
 every prefix evaluates one contiguous block of each output row's windows,
 from the line buffer or straight from the maps, so strategies change
-counters, never bits. The line buffer hands out that block in one copy,
-undoing its row rotation on the way. FP and DP run one stacked matmul per CU
-wave over the row and give the same bits as the schedule run position by
-position and CU wave by CU wave in 32-bit arithmetic: a faster evaluation
-that reorders a float32 sum is a behaviour change, not a speed-up. KU forms
-each position's outer product with one K = 1 BLAS product: each element is
-one rounded multiply and no sum is formed, so only a zero product's sign
-can differ from an elementwise multiply, and the kernel store, which starts
-at +0.0, absorbs it (adding a zero of either sign never leaves -0.0 there).
-KU updates the store in row blocks sized to stay in a core's L2 cache,
-taking the row's positions in order within each block; every store element
-belongs to one block, so it still adds its products in position order. The
-pooling engine works on whole maps, the pooling-transpose gather on blocks
-of elements that lie in the same windows relative to their position; both
-add each element's taps in place, in the order a per-window np.sum does.
+counters, never bits. Each sweep views its windows once, over a zero-filled
+pad of the maps or over the line buffer's bank rows; a row's block is one
+C-contiguous copy out of that view, which for the line buffer also undoes
+its row rotation, so no memory order reaches the bits. FP and DP run one
+stacked matmul per CU wave over the row and give the same bits as the
+schedule run position by position and CU wave by CU wave in 32-bit
+arithmetic: a faster evaluation that reorders a float32 sum is a behaviour
+change, not a speed-up. KU forms each position's outer product with one
+K = 1 BLAS product: each element is one rounded multiply and no sum is
+formed, so only a zero product's sign can differ from an elementwise
+multiply, and the kernel store, which starts at +0.0, absorbs it (adding
+a zero of either sign never leaves -0.0 there). KU updates the store in
+row blocks sized to stay in a core's L2 cache, taking the row's positions
+in order within each block; every store element belongs to one block, so
+it still adds its products in position order. The pooling engine works on
+whole maps, the pooling-transpose gather on blocks of elements that lie in
+the same windows relative to their position; both add each element's taps
+in place, in the order a per-window np.sum does.
 
 One run covers one image of one group and scales its counters to the
 group count. Over a batch, streamed words and cycles add up image by image,
@@ -72,14 +75,16 @@ class LineBuffer:
     resident rows touches every bank exactly once. The maps advance through
     the rows in lockstep, so one row id per bank row serves them all.
     Padding columns and rows are synthesized on chip and never charged as
-    external reads.
+    external reads. Built for one conv stride, the buffer views its windows
+    at that stride once; rows refill in place, so the view stays valid.
     """
 
-    def __init__(self, n_maps: int, k: int, width: int, pad: int = 0, dtype=np.float32):
+    def __init__(self, n_maps: int, k: int, width: int, stride: int, pad: int = 0):
         self.n_maps = n_maps
         self.k = k
         self.pad = pad
-        self.rows = np.zeros((n_maps, k, width + 2 * pad), dtype=dtype)
+        self.rows = np.zeros((n_maps, k, width + 2 * pad), dtype=np.float32)
+        self.view = window_view(self.rows, k, stride)[0]
         self.row_ids = [-1] * k  # padded row held by each bank row, -1 when empty
         self.external_reads = 0
 
@@ -106,29 +111,28 @@ class LineBuffer:
         self.fill_row(y_real + self.pad, values)
         self.external_reads += self.n_maps * used_cols
 
-    def windows(self, r: int, stride: int) -> np.ndarray:
-        """Every k x k window over padded rows r .. r+k-1 of all maps at column
-        stride `stride`, in window order, as one contiguous (windows, n_maps,
-        k, k) block. One copy: the bank rows rotate by r % k, so the block
+    def windows(self, r: int) -> np.ndarray:
+        """Every k x k window over padded rows r .. r+k-1 of all maps, in window
+        order, as one contiguous (windows, n_maps, k, k) block. One copy out of
+        the buffer's window view: the bank rows rotate by r % k, so the block
         takes the rotated tail first and then the head."""
         for y in range(r, r + self.k):
             if self.row_ids[y % self.k] != y:
                 raise RuntimeError(f"window row {y} is not resident in the line buffer")
-        view = window_view(self.rows, stride)
         turn = r % self.k
-        out = np.empty(view.shape, dtype=view.dtype)
-        out[:, :, : self.k - turn] = view[:, :, turn:]
-        out[:, :, self.k - turn :] = view[:, :, :turn]
+        out = np.empty(self.view.shape, dtype=self.view.dtype)
+        out[:, :, : self.k - turn] = self.view[:, :, turn:]
+        out[:, :, self.k - turn :] = self.view[:, :, :turn]
         return out
 
 
-def window_view(band: np.ndarray, stride: int) -> np.ndarray:
-    """Every k x k window of an (n_maps, k, padded W) band at column stride
-    `stride`, as one read-only (windows, n_maps, k, k) view."""
-    n, k, width = band.shape
-    step = band.strides[2]
-    return as_strided(band, ((width - k) // stride + 1, n, k, k), (step * stride, *band.strides),
-                      writeable=False)
+def window_view(maps: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """Every k x k window of (n_maps, H, W) maps at stride `stride` on both
+    axes, as one read-only (out_h, out_w, n_maps, k, k) view."""
+    n, h, w = maps.shape
+    sm, sh, sw = maps.strides
+    shape = ((h - k) // stride + 1, (w - k) // stride + 1, n, k, k)
+    return as_strided(maps, shape, (sh * stride, sw * stride, sm, sh, sw), writeable=False)
 
 
 def kernel_matrix(kers: np.ndarray) -> np.ndarray:
@@ -225,10 +229,12 @@ def _conv_sweep(
     fused = strategies.fused_super_layer
     kernel_update = phase is Phase.KU
     trace_tag = "d" if phase is Phase.DP else "x"  # the map streaming through the line buffer
-    lb = LineBuffer(n, k, in_w, pad=pad) if strategies.line_buffer else None
+    lb = LineBuffer(n, k, in_w, s, pad=pad) if strategies.line_buffer else None
 
     if x is not None:
-        xpad = np.pad(x.astype(np.float32, copy=False), ((0, 0), (pad, pad), (pad, pad)))
+        xpad = np.zeros((n, in_h + 2 * pad, in_w + 2 * pad), dtype=np.float32)
+        xpad[:, pad : pad + in_h, pad : pad + in_w] = x
+        view = window_view(xpad, k, s) if lb is None else None
         if kernel_update:
             # the kernel store in (map, tap) x output order, updated in row blocks
             # (KU_BLOCK_BYTES) through one reused outer-product buffer, and
@@ -269,10 +275,7 @@ def _conv_sweep(
                     lb.fill_row(yp, None)
             admitted_until = band_top + k
         if x is not None:
-            if lb is not None:
-                windows = lb.windows(band_top, s)
-            else:
-                windows = window_view(xpad[:, band_top : band_top + k], s).copy()
+            windows = lb.windows(band_top) if lb is not None else view[r].copy()
             if kernel_update:
                 cols = windows.reshape(wo, -1, 1)
                 drow = d_at[r].reshape(wo, 1, m)

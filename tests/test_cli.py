@@ -189,6 +189,19 @@ class TestFrontDoor:
         assert len(err) == 1 and err[0].startswith("error: tolerance")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["roofline", "--net", "alexnet", "--dram", ","], "--dram needs"),
+        (["roofline", "--net", "alexnet", "--dram="], "--dram needs"),
+        (["gradcheck", "--net", "toy2", "--epsilon", "nan"], "epsilon must be"),
+        (["gradcheck", "--net", "toy2", "--epsilon", "inf"], "epsilon must be"),
+    ])
+    def test_value_that_leaves_nothing_to_compute(self, capsys, argv, needle):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {needle}")
+        assert captured.out == ""
+
     def test_hardware_document_round_trip(self, tmp_path):
         path = tmp_path / "hw.json"
         path.write_text(json.dumps(asdict(presets.paper_hw())))

@@ -1,5 +1,6 @@
 """Seeded property sweeps over the reference math and the models."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -19,9 +20,10 @@ from convtraffic.reference import (
     pool_backward,
     pool_forward,
 )
+from convtraffic.simulator import run_super_layer
 from convtraffic.specs import ConvSpec, NetworkSpec, PoolSpec, SuperLayerSpec
 from convtraffic.traffic import Phase, StrategySet, super_traffic, transpose_geometry
-from convtraffic.verify import simulate_layer
+from convtraffic.verify import random_phase_tensors, simulate_layer
 
 
 def random_conv_instance(rng, dtype):
@@ -270,6 +272,17 @@ def two_layer_nets(draw):
     return NetworkSpec("random", 1, tuple(layers), groups), draw(st.integers(1, 3))
 
 
+def _defined_phases(index, layer):
+    """The phases a layer of a random net runs: delta propagation needs a
+    previous layer and runs stride 1 only."""
+    if index > 0 and layer.conv.stride == 1:
+        return [Phase.FP, Phase.KU, Phase.DP]
+    return [Phase.FP, Phase.KU]
+
+
+STRATEGY_SETS = [StrategySet.first(count) for count in range(6)] + [StrategySet.parse("2,4")]
+
+
 class TestCountersMatchModels:
     """Counters-only simulator runs equal the traffic model byte for byte,
     and archmodel's cycles and SRAM, on every defined phase of random
@@ -280,15 +293,11 @@ class TestCountersMatchModels:
     def test_bytes_cycles_and_sram(self, case):
         net, batch = case
         hw = presets.paper_hw()
-        sets = [StrategySet.first(count) for count in range(6)] + [StrategySet.parse("2,4")]
         for index, layer in enumerate(net.layers):
-            phases = [Phase.FP, Phase.KU]
-            if index > 0 and layer.conv.stride == 1:
-                phases.append(Phase.DP)  # delta propagation runs stride 1 only
-            for phase in phases:
+            for phase in _defined_phases(index, layer):
                 geom = transpose_geometry(layer) if phase is Phase.DP else layer
                 budget = sram_budget(geom, hw)
-                for strategies in sets:
+                for strategies in STRATEGY_SETS:
                     check = simulate_layer(net, index, phase, strategies, hw, seed=index,
                                            batch=batch, compute=False)
                     model = super_traffic(index, replace(net, batch=batch), phase, strategies,
@@ -302,3 +311,34 @@ class TestCountersMatchModels:
                     assert check.last_run.sram_bytes == (
                         budget.kernel_sram_bytes + budget.line_buffer_bytes
                     )
+
+
+class TestStrategiesAndLayoutsKeepBits:
+    """Compute runs give the same outputs, pre-activations and gradients,
+    byte for byte, on every strategy prefix and the set 2,4, whether the
+    input tensors come in C order, Fortran order, with moved axes, or as a
+    float64 copy of the same float32 values."""
+
+    LAYOUTS = {"C": lambda a: a, "F": np.asfortranarray,
+               "moved": lambda a: _laid_out(a, "moved"), "float64": lambda a: a.astype(np.float64)}
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(two_layer_nets())
+    def test_same_bits(self, case):
+        net, _ = case
+        hw = presets.paper_hw()
+        for index, layer in enumerate(net.layers):
+            prev_layer = net.layers[index - 1] if index > 0 else None
+            for phase in _defined_phases(index, layer):
+                tensors = random_phase_tensors(np.random.default_rng(index), layer, prev_layer,
+                                               phase)
+                want = None
+                for layout, strategies in itertools.product(self.LAYOUTS, STRATEGY_SETS):
+                    laid_out = {name: self.LAYOUTS[layout](a) for name, a in tensors.items()}
+                    kers, x = laid_out.pop("kers"), laid_out.pop("x")
+                    run = run_super_layer(x, kers, layer, hw, strategies, phase,
+                                          prev_layer=prev_layer, **laid_out)
+                    got = [(a.shape, a.dtype, a.tobytes()) if a is not None else None
+                           for a in (run.outputs, run.pre_act, run.grad)]
+                    want = want or got
+                    assert got == want, (index, phase, layout, strategies.label())

@@ -35,33 +35,33 @@ class TestBankGrid:
     def test_window_matches_direct_indexing_after_band_fill(self):
         rng = np.random.default_rng(0)
         data = rng.standard_normal((2, 6, 7)).astype(np.float32)
-        lb = LineBuffer(2, 3, 7)
+        lb = LineBuffer(2, 3, 7, 1)
         for y in range(3):
             lb.fill_row(y, data[:, y])
-        block = lb.windows(0, 1)
+        block = lb.windows(0)
         for c in range(5):
             assert np.array_equal(block[c], data[:, 0:3, c : c + 3])
         # slide the band down one row at a time, recycling the banks, so every
         # rotation r % k is fetched, and re-check
         for r in (1, 2, 3):
             lb.fill_row(r + 2, data[:, r + 2])
-            block = lb.windows(r, 1)
+            block = lb.windows(r)
             for c in range(5):
                 assert np.array_equal(block[c], data[:, r : r + 3, c : c + 3])
 
     def test_k1_single_element(self):
-        lb = LineBuffer(1, 1, 4)
+        lb = LineBuffer(1, 1, 4, 1)
         lb.fill_row(2, np.array([[9.0, 8.0, 7.0, 6.0]], dtype=np.float32))
-        assert lb.windows(2, 1)[3, 0] == np.float32(6.0)
+        assert lb.windows(2)[3, 0] == np.float32(6.0)
 
     def test_consecutive_fetches_share_columns(self):
         rng = np.random.default_rng(1)
         k = 3
         data = rng.standard_normal((1, 3, 8)).astype(np.float32)
-        lb = LineBuffer(1, k, 8)
+        lb = LineBuffer(1, k, 8, 1)
         for y in range(k):
             lb.fill_row(y, data[:, y])
-        block = lb.windows(0, 1)
+        block = lb.windows(0)
         a = block[2, 0]
         b = block[3, 0]
         assert np.array_equal(a[:, 1:], b[:, :-1])  # k*(k-1) shared elements
@@ -72,12 +72,12 @@ class TestBankGrid:
         assert len(coords) == k * k
 
     def test_non_resident_row_trips_invariant(self):
-        lb = LineBuffer(1, 2, 4)
+        lb = LineBuffer(1, 2, 4, 1)
         lb.fill_row(0, np.zeros((1, 4), dtype=np.float32))
         lb.fill_row(1, np.zeros((1, 4), dtype=np.float32))
         lb.fill_row(2, np.zeros((1, 4), dtype=np.float32))  # evicts row 0
         with pytest.raises(RuntimeError, match="not resident"):
-            lb.windows(0, 1)
+            lb.windows(0)
 
     def test_band_matches_direct_slice_after_recycling(self):
         # rows 3 .. 8 recycle the banks of rows 0 .. 5, so the bands at rows
@@ -85,35 +85,35 @@ class TestBankGrid:
         rng = np.random.default_rng(8)
         data = rng.standard_normal((3, 9, 6)).astype(np.float32)
         for stride in (1, 2):
-            lb = LineBuffer(3, 3, 6)
+            lb = LineBuffer(3, 3, 6, stride)
             for y in range(2):
                 lb.fill_row(y, data[:, y])
             for r in range(7):
                 lb.fill_row(r + 2, data[:, r + 2])
-                block = lb.windows(r, stride)  # windows at columns 0, stride, ...
+                block = lb.windows(r)  # windows at columns 0, stride, ...
                 assert block.flags.c_contiguous
                 want = np.stack([data[:, r : r + 3, c : c + 3] for c in range(0, 4, stride)])
                 assert _same_bits(block, want)
                 if r > 0:
                     with pytest.raises(RuntimeError, match="not resident"):
-                        lb.windows(r - 1, stride)
+                        lb.windows(r - 1)
 
 
 class TestLineBuffer:
     def test_warmup_of_first_band_streams_k_rows(self):
-        lb = LineBuffer(1, 5, 27)
+        lb = LineBuffer(1, 5, 27, 1)
         for row in range(5):
             lb.admit_row(row, None, 27)
         assert lb.external_reads == 5 * 27
 
     def test_every_element_read_once_per_map(self):
         h = w = 6
-        lb = LineBuffer(2, 3, w, pad=1)
+        lb = LineBuffer(2, 3, w, 1, pad=1)
         for row in range(h):
             lb.admit_row(row, np.full((2, w + 2), float(row), np.float32), w)
         assert lb.external_reads == 2 * h * w
         # real rows 3..5 sit at padded rows 4..6, the last band resident
-        assert lb.windows(4, 1)[0, :, :, 0].tolist() == [[3.0, 4.0, 5.0]] * 2
+        assert lb.windows(4)[0, :, :, 0].tolist() == [[3.0, 4.0, 5.0]] * 2
 
 
 class TestAccumulateSweep:

@@ -8,7 +8,8 @@ the sha256 of stdout and of stderr. The matrix covers `compare all` and
 `compare constants`, `analyze` for every phase with ten strategy sets (the
 six prefixes and the non-prefix sets 2, 4, 1,4 and 2,4), `simulate` with
 both checks on alexnet and on toy2 at batch 3, `roofline`, `gradcheck`, and
-the `simulate` front-door errors. `diff` of two outputs is the
+the front-door errors of `simulate --layer`, an empty `roofline --dram` and
+a non-finite `gradcheck --epsilon`. `diff` of two outputs is the
 "same outputs" evidence for a change to the reports.
 """
 
@@ -44,6 +45,8 @@ def commands() -> list[list[str]]:
     matrix.append(["gradcheck", "--seed", "7", "--corrupt-gradient", "--format", "json"])
     for layer in ("1", "0", "6"):
         matrix.append(["simulate", "--phase", "dp", "--layer", layer])
+    matrix.append(["roofline", "--dram", ","])
+    matrix.append(["gradcheck", "--epsilon", "nan"])
     return matrix
 
 
