@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .specs import ConvSpec, SuperLayerSpec
@@ -26,21 +26,10 @@ class HwConfig:
     max_k: int  # largest supported kernel side
 
     def __post_init__(self):
-        positive = (
-            ("num_cu", self.num_cu),
-            ("word_bytes", self.word_bytes),
-            ("relu_pool_units", self.relu_pool_units),
-            ("clock_hz", self.clock_hz),
-            ("cfg_bus_bytes_per_cycle", self.cfg_bus_bytes_per_cycle),
-            ("cfg_clock_hz", self.cfg_clock_hz),
-            ("dram_bytes_per_s", self.dram_bytes_per_s),
-            ("max_n", self.max_n),
-            ("max_m", self.max_m),
-            ("max_k", self.max_k),
-        )
-        for name, v in positive:
-            if v <= 0:
-                raise ConfigError(f"{name} must be positive, got {v}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name != "bitstream_bytes" and v <= 0:
+                raise ConfigError(f"{f.name} must be positive, got {v}")
         if self.bitstream_bytes < 0:
             raise ConfigError(f"bitstream_bytes must be non-negative, got {self.bitstream_bytes}")
 

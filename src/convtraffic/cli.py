@@ -153,7 +153,7 @@ def cmd_simulate(manifest: RunManifest, seed: int, layer_index: int | None, chec
     for index in indices:
         check = simulate_layer(
             net, index, manifest.phase, manifest.strategies, manifest.hw,
-            seed=seed + index, batch=batch,
+            seed=seed + index, batch=batch, compute=check_reference,
             check_model=check_model, check_reference=check_reference,
         )
         model_ok = check.model_match if check_model else None

@@ -6,7 +6,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True)
@@ -30,15 +30,7 @@ class ComparisonRow:
         return self.relative_error <= self.tolerance
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "paper_value": self.paper_value,
-            "computed_value": self.computed_value,
-            "relative_error": self.relative_error,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "note": self.note,
-        }
+        return {**asdict(self), "relative_error": self.relative_error, "pass": self.passed}
 
 
 def fmt(value) -> str:

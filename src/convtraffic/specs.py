@@ -187,37 +187,6 @@ def check_kernels(ker: np.ndarray, spec: ConvSpec, name: str = "kernels") -> Non
         raise ShapeError(f"{name}: kernel side is {kh}x{kw}, expected {spec.k}x{spec.k}")
 
 
-# ---------------------------------------------------------------------------
-# JSON-friendly (de)serialization. Field names double as the config schema.
-# ---------------------------------------------------------------------------
-
-def layer_to_dict(layer: SuperLayerSpec, groups: int) -> dict:
-    d: dict = {
-        "conv": {
-            "n": layer.conv.n,
-            "m": layer.conv.m,
-            "k": layer.conv.k,
-            "stride": layer.conv.stride,
-            "pad": layer.conv.pad,
-        },
-        "input_h": layer.input_h,
-        "input_w": layer.input_w,
-        "act": layer.has_act,
-        "groups": groups,
-    }
-    if layer.pool is not None:
-        d["pool"] = {"p": layer.pool.p, "stride": layer.pool.stride}
-    return d
-
-
-def network_to_dict(net: NetworkSpec) -> dict:
-    return {
-        "name": net.name,
-        "batch": net.batch,
-        "layers": [layer_to_dict(l, g) for l, g in zip(net.layers, net.groups)],
-    }
-
-
 def _require(d: dict, key: str, path: str):
     if not isinstance(d, dict):
         raise ShapeError(f"'{path}' must be an object, got {d!r}")

@@ -25,8 +25,9 @@ reconstruct exactly; the simulator counts the same way):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 from enum import Enum
+from operator import add
 
 from .errors import ConfigError
 from .specs import ConvSpec, NetworkSpec, SuperLayerSpec
@@ -97,17 +98,8 @@ class StrategySet:
         return cls(*flags)
 
     def label(self) -> str:
-        chosen = [i + 1 for i, f in enumerate(self.as_tuple()) if f]
+        chosen = [i + 1 for i, f in enumerate(astuple(self)) if f]
         return "+".join(f"s{i}" for i in chosen) if chosen else "none"
-
-    def as_tuple(self) -> tuple[bool, ...]:
-        return (
-            self.kernels_on_chip,
-            self.window_reuse,
-            self.on_chip_accumulate,
-            self.line_buffer,
-            self.fused_super_layer,
-        )
 
 
 @dataclass(frozen=True)
@@ -121,9 +113,10 @@ class TrafficReport:
     act_ops: int = 0
     pool_ops: int = 0
 
+    # The field loops use vars(), not astuple()/asdict(): simulate_layer adds
+    # one report per image, and those copy every field on each call.
     def __post_init__(self):
-        for name in ("input_bytes", "output_bytes", "kernel_bytes", "conv_ops", "act_ops", "pool_ops"):
-            v = getattr(self, name)
+        for name, v in vars(self).items():
             if v < 0:
                 raise ConfigError(f"{name} must be non-negative, got {v}")
 
@@ -139,26 +132,10 @@ class TrafficReport:
         return (self.total_bytes / 1e6) / (self.conv_ops / 1e9)
 
     def __add__(self, other: "TrafficReport") -> "TrafficReport":
-        return TrafficReport(
-            self.input_bytes + other.input_bytes,
-            self.output_bytes + other.output_bytes,
-            self.kernel_bytes + other.kernel_bytes,
-            self.conv_ops + other.conv_ops,
-            self.act_ops + other.act_ops,
-            self.pool_ops + other.pool_ops,
-        )
+        return TrafficReport(*map(add, vars(self).values(), vars(other).values()))
 
     def to_dict(self) -> dict:
-        return {
-            "input_bytes": self.input_bytes,
-            "output_bytes": self.output_bytes,
-            "kernel_bytes": self.kernel_bytes,
-            "total_bytes": self.total_bytes,
-            "conv_ops": self.conv_ops,
-            "act_ops": self.act_ops,
-            "pool_ops": self.pool_ops,
-            "normalized_bw": self.normalized_bw,
-        }
+        return {**vars(self), "total_bytes": self.total_bytes, "normalized_bw": self.normalized_bw}
 
 
 def used_extent(size: int, k: int, stride: int, pad: int) -> int:
@@ -229,12 +206,15 @@ def conv_traffic(
     batch: int,
     word_bytes: int,
     groups: int = 1,
+    phase: Phase = Phase.FP,
 ) -> TrafficReport:
-    """Traffic of the conv stage alone under strategies 1-4 (fusion ignored)."""
+    """Traffic of the phase's conv stage alone under strategies 1-4 (fusion
+    ignored), counted on phase_geometry; the ops are the layer's own."""
+    geom = phase_geometry(layer, phase)
     feature, kernel_stream, out, kernel_store = _conv_stage_words(
-        layer.conv, layer.input_h, layer.input_w, strategies, batch, groups
+        geom.conv, geom.input_h, geom.input_w, strategies, batch, groups
     )
-    conv_ops, act_ops, pool_ops = op_count(layer, batch, groups)
+    conv_ops, act_ops, pool_ops = op_count(layer, batch, groups, phase)
     return TrafficReport(
         input_bytes=(feature + kernel_stream) * word_bytes,
         output_bytes=out * word_bytes,
@@ -289,29 +269,20 @@ def super_traffic(
     if index not in phase_layers(net, phase):
         raise ConfigError("delta propagation is undefined for the first super layer")
     batch, groups = net.batch, net.groups[index]
-    scale = batch * groups
-    geom = phase_geometry(layer, phase)
-    feature, kernel_stream, out, kernel_store = _conv_stage_words(
-        geom.conv, geom.input_h, geom.input_w, strategies, batch, groups
-    )
-    if strategies.fused_super_layer:
-        kernel_store = 0
-        if phase is Phase.FP:
-            out = layer.conv.m * math.prod(layer.out_dims()) * scale
-        elif phase is Phase.DP:
-            out = layer.conv.n * math.prod(net.layers[index - 1].conv_out_dims()) * scale
-        else:
-            out = 0  # gradients accumulate in the kernel store
-            feature += layer.conv.m * math.prod(layer.conv_out_dims()) * scale
-    conv_ops, act_ops, pool_ops = op_count(layer, batch, groups, phase)
-    return TrafficReport(
-        input_bytes=(feature + kernel_stream) * word_bytes,
-        output_bytes=out * word_bytes,
-        kernel_bytes=kernel_store * word_bytes,
-        conv_ops=conv_ops,
-        act_ops=act_ops,
-        pool_ops=pool_ops,
-    )
+    report = conv_traffic(layer, strategies, batch, word_bytes, groups, phase)
+    if not strategies.fused_super_layer:
+        return report
+    scale = batch * groups * word_bytes
+    delta_read = 0
+    if phase is Phase.FP:
+        out = layer.conv.m * math.prod(layer.out_dims()) * scale
+    elif phase is Phase.DP:
+        out = layer.conv.n * math.prod(net.layers[index - 1].conv_out_dims()) * scale
+    else:
+        out = 0  # gradients accumulate in the kernel store
+        delta_read = layer.conv.m * math.prod(layer.conv_out_dims()) * scale
+    return replace(report, input_bytes=report.input_bytes + delta_read, output_bytes=out,
+                   kernel_bytes=0)
 
 
 def network_summary(

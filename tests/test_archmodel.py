@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -153,10 +153,14 @@ class TestRoofline:
 
 
 class TestHwConfig:
-    def test_rejects_non_positive(self):
-        with pytest.raises(ConfigError):
-            HwConfig(
-                num_cu=0, word_bytes=4, relu_pool_units=2, clock_hz=1e8,
-                bitstream_bytes=1, cfg_bus_bytes_per_cycle=2, cfg_clock_hz=1e6,
-                dram_bytes_per_s=1e9, max_n=1, max_m=1, max_k=1,
-            )
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(HwConfig) if f.name != "bitstream_bytes"]
+    )
+    def test_rejects_non_positive(self, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be positive, got 0$"):
+            replace(presets.paper_hw(), **{name: 0})
+
+    def test_bitstream_may_be_empty(self):
+        assert replace(presets.paper_hw(), bitstream_bytes=0).bitstream_bytes == 0
+        with pytest.raises(ConfigError, match="^bitstream_bytes must be non-negative, got -1$"):
+            replace(presets.paper_hw(), bitstream_bytes=-1)

@@ -1,14 +1,40 @@
+import copy
 import csv
+import importlib.util
 import io
 import json
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 from convtraffic import cli, presets
 from convtraffic.cli import load_hw, load_network, main
 from convtraffic.errors import ShapeError
-from convtraffic.specs import network_to_dict
+
+
+@pytest.fixture
+def alexnet_doc(monkeypatch) -> dict:
+    """The AlexNet network file that benchmarks/workloads.py states, from a
+    fresh read-only load of that module."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module.ALEXNET
+
+
+TOY2 = {
+    "name": "toy2",
+    "batch": 1,
+    "layers": [
+        {"conv": {"n": 2, "m": 3, "k": 3, "stride": 1, "pad": 1},
+         "input_h": 8, "input_w": 8, "act": True, "pool": {"p": 2, "stride": 2}},
+        {"conv": {"n": 3, "m": 2, "k": 3, "stride": 1, "pad": 1}, "act": True},
+    ],
+}
 
 
 class TestParseConfigs:
@@ -19,35 +45,30 @@ class TestParseConfigs:
         assert net.groups == (1, 2, 1, 2, 2)
         assert hw.num_cu == 16
 
-    def test_network_round_trip(self, tmp_path):
-        net = presets.alexnet()
-        doc = network_to_dict(net)
-        path = tmp_path / "net.json"
-        path.write_text(json.dumps(doc))
-        loaded = load_network(str(path))
-        assert loaded == net
+    def test_network_round_trip(self, tmp_path, alexnet_doc):
+        for doc, preset in ((alexnet_doc, presets.alexnet()), (TOY2, presets.toy2())):
+            path = tmp_path / "net.json"
+            path.write_text(json.dumps(doc))
+            assert load_network(str(path)) == preset
 
-    def test_missing_key_names_path(self, tmp_path):
-        doc = network_to_dict(presets.alexnet())
-        del doc["layers"][0]["conv"]["k"]
+    def test_missing_key_names_path(self, tmp_path, alexnet_doc):
+        del alexnet_doc["layers"][0]["conv"]["k"]
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(alexnet_doc))
         with pytest.raises(ShapeError, match=r"layers\[0\]\.conv\.k"):
             load_network(str(path))
 
-    def test_negative_stride_rejected(self, tmp_path):
-        doc = network_to_dict(presets.alexnet())
-        doc["layers"][0]["conv"]["stride"] = -1
+    def test_negative_stride_rejected(self, tmp_path, alexnet_doc):
+        alexnet_doc["layers"][0]["conv"]["stride"] = -1
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(alexnet_doc))
         with pytest.raises(ShapeError, match="stride"):
             load_network(str(path))
 
-    def test_incompatible_layers_name_index(self, tmp_path):
-        doc = network_to_dict(presets.alexnet())
-        doc["layers"][1]["conv"]["n"] = 47
+    def test_incompatible_layers_name_index(self, tmp_path, alexnet_doc):
+        alexnet_doc["layers"][1]["conv"]["n"] = 47
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(alexnet_doc))
         with pytest.raises(ShapeError, match="layer 2"):
             load_network(str(path))
 
@@ -96,7 +117,7 @@ class TestAnalyze:
 
 
 def _toy2_with(**first_layer):
-    doc = network_to_dict(presets.toy2())
+    doc = copy.deepcopy(TOY2)
     doc["layers"][0].update(first_layer)
     return doc
 
@@ -122,7 +143,7 @@ class TestFrontDoor:
     @pytest.mark.parametrize("command", [["simulate", "--phase", "dp", "--layer", "2"],
                                          ["gradcheck"]])
     def test_pad_above_k_minus_1_has_no_transpose(self, tmp_path, capsys, command):
-        doc = network_to_dict(presets.toy2())
+        doc = copy.deepcopy(TOY2)
         doc["layers"][1]["conv"]["pad"] = 3
         path = tmp_path / "net.json"
         path.write_text(json.dumps(doc))

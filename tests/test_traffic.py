@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from convtraffic.errors import ConfigError, ShapeError
@@ -9,6 +11,7 @@ from convtraffic.traffic import (
     conv_traffic,
     network_summary,
     op_count,
+    phase_layers,
     reduction_factor,
     super_traffic,
     transpose_geometry,
@@ -51,8 +54,9 @@ class TestTrafficReport:
         assert r.normalized_bw == pytest.approx((r.total_bytes / 1e6) / (r.conv_ops / 1e9))
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ConfigError):
-            TrafficReport(input_bytes=-1)
+        for field in fields(TrafficReport):
+            with pytest.raises(ConfigError, match=f"^{field.name} must be non-negative, got -1$"):
+                TrafficReport(**{field.name: -1})
 
     def test_sum(self):
         a = TrafficReport(1, 2, 3, 4, 5, 6)
@@ -167,14 +171,23 @@ class TestSuperTraffic:
             super_traffic(0, alexnet, Phase.DP, StrategySet.all_on(), WORD)
 
     def test_partial_sets_delegate_to_conv_stage(self, alexnet):
-        layer = alexnet.layers[1]
-        for prefix in range(5):
-            strat = StrategySet.first(prefix)
-            via_super = super_traffic(1, alexnet, Phase.FP, strat, WORD)
-            via_conv = conv_traffic(layer, strat, BATCH, WORD, groups=2)
-            assert via_super.input_bytes == via_conv.input_bytes
-            assert via_super.output_bytes == via_conv.output_bytes
-            assert via_super.kernel_bytes == via_conv.kernel_bytes
+        """A set without fusion reports the phase's conv stage as it is; fusion
+        overrides only the kernel and output terms, and KU's input term."""
+        partial = [StrategySet.first(p) for p in range(5)] + [StrategySet.parse("2,4")]
+        for phase in Phase:
+            for index in phase_layers(alexnet, phase):
+                layer, groups = alexnet.layers[index], alexnet.groups[index]
+                for strat in partial:
+                    stage = conv_traffic(layer, strat, BATCH, WORD, groups, phase=phase)
+                    assert super_traffic(index, alexnet, phase, strat, WORD) == stage
+                stage = conv_traffic(layer, StrategySet.all_on(), BATCH, WORD, groups, phase=phase)
+                fused = super_traffic(index, alexnet, phase, StrategySet.all_on(), WORD)
+                changed = {k for k, v in vars(fused).items() if v != getattr(stage, k)}
+                allowed = {"kernel_bytes", "output_bytes"}
+                if phase is Phase.KU:
+                    allowed.add("input_bytes")
+                assert "kernel_bytes" in changed, (index, phase)
+                assert changed <= allowed, (index, phase)
 
     def test_dp_delegation_uses_transposed_geometry(self, alexnet):
         layer = alexnet.layers[1]
@@ -182,9 +195,11 @@ class TestSuperTraffic:
         assert (tlayer.conv.n, tlayer.conv.m) == (layer.conv.m, layer.conv.n)
         assert tlayer.conv.pad == layer.conv.k - 1 - layer.conv.pad
         via_super = super_traffic(1, alexnet, Phase.DP, StrategySet.first(4), WORD)
-        via_conv = conv_traffic(tlayer, StrategySet.first(4), BATCH, WORD, groups=2)
-        assert via_super.input_bytes == via_conv.input_bytes
-        assert via_super.output_bytes == via_conv.output_bytes
+        via_conv = conv_traffic(layer, StrategySet.first(4), BATCH, WORD, groups=2, phase=Phase.DP)
+        on_tlayer = conv_traffic(tlayer, StrategySet.first(4), BATCH, WORD, groups=2)
+        assert via_super == via_conv
+        assert via_conv.input_bytes == on_tlayer.input_bytes
+        assert via_conv.output_bytes == on_tlayer.output_bytes
 
 
 class TestNetworkSummary:

@@ -7,10 +7,11 @@ in-process once per command. Each line holds the argv, the exit code and
 the sha256 of stdout and of stderr. The matrix covers `compare all` and
 `compare constants`, `analyze` for every phase with ten strategy sets (the
 six prefixes and the non-prefix sets 2, 4, 1,4 and 2,4), `simulate` with
-both checks on alexnet and on toy2 at batch 3, `roofline`, `gradcheck`, and
-the front-door errors of `simulate --layer`, an empty `roofline --dram` and
-a non-finite `gradcheck --epsilon`. `diff` of two outputs is the
-"same outputs" evidence for a change to the reports.
+both checks on alexnet at batch 1 and on toy2 at batch 3, `simulate` on
+alexnet at batch 2 with the model check alone and with no check, `roofline`,
+`gradcheck`, and the front-door errors of `simulate --layer`, an empty
+`roofline --dram` and a non-finite `gradcheck --epsilon`. `diff` of two
+outputs is the "same outputs" evidence for a change to the reports.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ def commands() -> list[list[str]]:
             matrix.append(["simulate", "--net", net, "--phase", phase, "--batch", batch,
                            "--check-against-model", "--check-against-reference",
                            "--format", "json"])
+    for checks in (["--check-against-model"], []):  # runs that compute no outputs
+        for phase in PHASES:
+            matrix.append(["simulate", "--net", "alexnet", "--phase", phase, "--batch", "2",
+                           *checks, "--format", "json"])
     for phase in PHASES:
         matrix.append(["roofline", "--phase", phase, "--dram", "19.2,25.6", "--format", "json"])
     matrix.append(["gradcheck", "--seed", "7", "--format", "json"])
