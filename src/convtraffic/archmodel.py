@@ -15,7 +15,6 @@ class HwConfig:
 
     num_cu: int
     word_bytes: int
-    relu_pool_units: int  # parallel rectifier + pooling units (R); no model reads it
     clock_hz: float
     bitstream_bytes: int
     cfg_bus_bytes_per_cycle: int
@@ -71,10 +70,6 @@ class EfficiencyReport:
 
     naive_efficiency: float  # undersized layers padded with zero maps
     controlled_efficiency: float  # index-range registers skip invalid maps
-
-    def __post_init__(self):
-        if not 0 < self.naive_efficiency <= 1 or not 0 < self.controlled_efficiency <= 1:
-            raise ConfigError("efficiencies must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -137,8 +132,6 @@ def sram_budget(layer: SuperLayerSpec, hw: HwConfig) -> BudgetReport:
 def reconfig_overhead(hw: HwConfig, compute_seconds: float) -> ReconfigReport:
     """Time to stream one bitstream over the configuration bus, and the
     share of wall time it adds on top of the given compute time."""
-    if compute_seconds < 0:
-        raise ConfigError(f"compute_seconds must be non-negative, got {compute_seconds}")
     cfg_seconds = hw.bitstream_bytes / (hw.cfg_bus_bytes_per_cycle * hw.cfg_clock_hz)
     return ReconfigReport(cfg_seconds=cfg_seconds, compute_seconds=compute_seconds)
 
@@ -150,7 +143,5 @@ def roofline_attainable(
     bandwidth / bytes-per-flop) with normalized_bw in MB/GFlop."""
     if normalized_bw <= 0:
         raise ConfigError(f"normalized_bw must be positive, got {normalized_bw}")
-    if dram_bytes_per_s < 0:
-        raise ConfigError("dram_bytes_per_s must be non-negative")
     bytes_per_flop = normalized_bw * 1e6 / 1e9
     return min(peak_flops_per_s, dram_bytes_per_s / bytes_per_flop)

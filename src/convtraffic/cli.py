@@ -60,13 +60,13 @@ def _read_json(path: str):
 
 def load_network(source: str) -> NetworkSpec:
     if source in presets.NETWORK_PRESETS:
-        return presets.network_preset(source)
+        return presets.NETWORK_PRESETS[source]()
     return network_from_dict(_read_json(source))
 
 
 def load_hw(source: str) -> HwConfig:
     if source in presets.HW_PRESETS:
-        return presets.hw_preset(source)
+        return presets.HW_PRESETS[source]()
     doc = _read_json(source)
     if not isinstance(doc, dict):
         raise ConfigError(f"a hardware document must be an object, got {type(doc).__name__}")
@@ -217,7 +217,7 @@ def cmd_compare(preset: str, tolerance: float | None) -> Report:
     return Report(headers, table, payload, failures)
 
 
-def cmd_gradcheck(net: NetworkSpec, seed: int, epsilon: float, corrupt: bool) -> Report:
+def cmd_gradcheck(net: NetworkSpec, seed: int, epsilon: float) -> Report:
     rng = np.random.default_rng(seed)
     first = net.layers[0]
     x0 = rng.standard_normal((first.conv.n, first.input_h, first.input_w))
@@ -232,9 +232,6 @@ def cmd_gradcheck(net: NetworkSpec, seed: int, epsilon: float, corrupt: bool) ->
         raise ConfigError("gradcheck needs a toy-scale network")
 
     grads = analytic_kernel_gradients(net, banks, x0)
-    if corrupt:
-        grads[0] = grads[0].copy()
-        grads[0][0, 0, 0, 0] += 1.0  # test hook: negative control
 
     headers = ["layer", "max_rel_err", "worst_weight", "pass"]
     rows = []
@@ -340,10 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, model=False)
     p.set_defaults(net="toy2")
     p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument(
-        "--corrupt-gradient", action="store_true",
-        help="test hook: corrupt one analytic gradient to exercise failure reporting",
-    )
 
     p = sub.add_parser("roofline", help="attainable throughput under DRAM caps")
     add_common(p, seed=False)
@@ -359,7 +352,7 @@ def _report(args) -> Report:
     if "seed" in args and args.seed < 0:  # simulate and gradcheck draw random tensors
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     if args.command == "gradcheck":
-        return cmd_gradcheck(load_network(args.net), args.seed, args.epsilon, args.corrupt_gradient)
+        return cmd_gradcheck(load_network(args.net), args.seed, args.epsilon)
     manifest = _manifest(args)
     if args.command == "analyze":
         return cmd_analyze(manifest)

@@ -281,7 +281,7 @@ def rows_abstract() -> list[ComparisonRow]:
         ComparisonRow(
             "FP total BW reduction vs 16-bit comparison total",
             presets.ABSTRACT_BW_REDUCTION,
-            1.0 - fp.normalized_bw / presets.TABLE3_EYERISS[-1],
+            1.0 - fp.normalized_bw / presets.TABLE3_EYERISS_TOTAL,
             TOL_TABLE,
             "abstract, from Table 3",
         ),
@@ -293,50 +293,6 @@ def rows_abstract() -> list[ComparisonRow]:
             "abstract, from Fig. 13 and Table 4",
         ),
     ]
-
-
-def rows_constants() -> list[ComparisonRow]:
-    """Reported-only constants echoed for reference; never modeled."""
-    rows = [
-        ComparisonRow(
-            "reported throughput, base board (flops/s)",
-            presets.REPORTED_THROUGHPUT_FLOPS,
-            presets.REPORTED_THROUGHPUT_FLOPS,
-            0.0,
-            "Table 4, reported",
-        ),
-        ComparisonRow(
-            "reported throughput, extended board (flops/s)",
-            presets.REPORTED_THROUGHPUT_EXTENDED_FLOPS,
-            presets.REPORTED_THROUGHPUT_EXTENDED_FLOPS,
-            0.0,
-            "Fig. 13, reported",
-        ),
-    ]
-    for board, phases in presets.REPORTED_RESOURCES.items():
-        for phase, resources in phases.items():
-            for kind, count in resources.items():
-                rows.append(
-                    ComparisonRow(
-                        f"{board} {phase} {kind} (reported)",
-                        float(count),
-                        float(count),
-                        0.0,
-                        "Table 2, reported",
-                    )
-                )
-    for i, value in enumerate(presets.TABLE3_EYERISS):
-        name = f"layer {i + 1}" if i < 5 else "total"
-        rows.append(
-            ComparisonRow(
-                f"16-bit comparison column, {name} (MB/Gop, reported)",
-                value,
-                value,
-                0.0,
-                "Table 3, reported",
-            )
-        )
-    return rows
 
 
 PRESET_BUILDERS = {
@@ -352,7 +308,6 @@ PRESET_BUILDERS = {
     "efficiency": rows_efficiency,
     "peak": rows_peak,
     "abstract": rows_abstract,
-    "constants": rows_constants,
 }
 
 
@@ -360,7 +315,7 @@ def comparison_rows(preset: str, tolerance: float | None = None) -> list[Compari
     """Rows for one comparison preset, or for 'all' of them. A tolerance
     override applies to every row."""
     if preset == "all":
-        names = [n for n in PRESET_BUILDERS if n != "constants"]
+        names = list(PRESET_BUILDERS)
     elif preset in PRESET_BUILDERS:
         names = [preset]
     else:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .archmodel import HwConfig
-from .errors import ConfigError
 from .specs import ConvSpec, NetworkSpec, PoolSpec, SuperLayerSpec
 
 
@@ -41,14 +40,13 @@ def toy2() -> NetworkSpec:
 
 
 def paper_hw() -> HwConfig:
-    """The measured board configuration: 16 CUs at 137 MHz, two parallel
-    rectifier/pooling units, 11.4 MB bitstreams over a 16-bit bus at 66 MHz,
-    and a 19.2 GB/s DRAM cap. Map/kernel limits cover the largest geometry
-    of all five layers in every phase (delta propagation swaps map roles)."""
+    """The measured board configuration: 16 CUs at 137 MHz, 11.4 MB
+    bitstreams over a 16-bit bus at 66 MHz, and a 19.2 GB/s DRAM cap.
+    Map/kernel limits cover the largest geometry of all five layers in every
+    phase (delta propagation swaps map roles)."""
     return HwConfig(
         num_cu=16,
         word_bytes=4,
-        relu_pool_units=2,
         clock_hz=137e6,
         bitstream_bytes=11_400_000,
         cfg_bus_bytes_per_cycle=2,
@@ -68,24 +66,6 @@ def shared_345_hw() -> HwConfig:
 
 NETWORK_PRESETS = {"alexnet": alexnet, "toy2": toy2}
 HW_PRESETS = {"paper": paper_hw, "shared345": shared_345_hw}
-
-
-def network_preset(name: str) -> NetworkSpec:
-    try:
-        return NETWORK_PRESETS[name]()
-    except KeyError:
-        raise ConfigError(
-            f"unknown network preset '{name}'; available: {', '.join(sorted(NETWORK_PRESETS))}"
-        ) from None
-
-
-def hw_preset(name: str) -> HwConfig:
-    try:
-        return HW_PRESETS[name]()
-    except KeyError:
-        raise ConfigError(
-            f"unknown hardware preset '{name}'; available: {', '.join(sorted(HW_PRESETS))}"
-        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +102,8 @@ TABLE3_KU = (8.36, 2.29, 1.45, 2.31, 2.89)
 TABLE3_TOTALS = {"fp": 1.94, "dp": 3.45, "ku": 3.92}
 TABLE3_OPS_G = (27.01, 57.34, 38.27, 28.74, 19.14)
 TABLE3_OPS_TOTAL_G = 170.50
-# 16-bit comparison column of Table 3 (embedded constant, not modeled).
-TABLE3_EYERISS = (7.11, 3.13, 4.26, 4.21, 4.13, 4.31)
+# Total of Table 3's 16-bit comparison column (embedded constant, not modeled).
+TABLE3_EYERISS_TOTAL = 4.31
 
 # Fig. 14 roofline points at the 19.2 GB/s DRAM cap.
 FIG14 = {
@@ -141,7 +121,8 @@ RECONFIG_COMPUTE_SECONDS = 0.7  # measured constant, not derived
 EFFICIENCY_NAIVE = (1.0, 0.375, 0.25)
 EFFICIENCY_CONTROLLED_MULTISET = (1.0, 1.0, 0.889)
 
-# Reported absolute throughputs (Table 4 / Fig. 13); comparison output only.
+# Reported absolute throughputs: the base board's (Table 4) holds the peak
+# model to 10 %, the extended board's (Fig. 13) enters the abstract's ratio.
 REPORTED_THROUGHPUT_FLOPS = 113e9
 REPORTED_THROUGHPUT_EXTENDED_FLOPS = 1244e9
 
@@ -159,18 +140,3 @@ PRIOR_WORKS = (
     ("mobile coprocessor", 20.0, 227e9),
     ("memory-centric design", 3.57, 42e9),
 )
-
-# Reported resource counts for the layer-2 configurations (comparison
-# output only; never modeled).
-REPORTED_RESOURCES = {
-    "base board": {
-        "fp": {"LUT": 182367, "FF": 121498, "BRAM": 213, "DSP": 413},
-        "dp": {"LUT": 178435, "FF": 114082, "BRAM": 238, "DSP": 408},
-        "ku": {"LUT": 173195, "FF": 117959, "BRAM": 209, "DSP": 405},
-    },
-    "extended board": {
-        "fp": {"LUT": 1505983, "FF": 854134, "BRAM": 1526, "DSP": 2848},
-        "dp": {"LUT": 1356150, "FF": 868097, "BRAM": 1838, "DSP": 2848},
-        "ku": {"LUT": 1302193, "FF": 850025, "BRAM": 1498, "DSP": 2848},
-    },
-}

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import asdict, dataclass
 
 
@@ -21,8 +20,6 @@ class ComparisonRow:
 
     @property
     def relative_error(self) -> float:
-        if self.paper_value == 0:
-            return 0.0 if self.computed_value == 0 else math.inf
         return abs(self.computed_value - self.paper_value) / abs(self.paper_value)
 
     @property
@@ -76,6 +73,4 @@ def render(fmt_name: str, headers: list[str], rows: list[list], payload) -> str:
         return render_table(headers, rows)
     if fmt_name == "csv":
         return render_csv(headers, rows)
-    if fmt_name == "json":
-        return render_json(payload)
-    raise ValueError(f"unknown format '{fmt_name}'")
+    return render_json(payload)

@@ -449,8 +449,6 @@ def run_super_layer(
     fused = strategies.fused_super_layer
     counters = _Counters(trace)
     ho, wo = layer.conv_out_dims()
-    if not isinstance(phase, Phase):
-        raise ConfigError(f"unknown phase {phase!r}")
     if phase is Phase.DP and prev_layer is None:
         raise ConfigError("delta propagation needs the previous super layer")
     geometry = phase_geometry(layer, phase)  # what the engine runs, and is sized for

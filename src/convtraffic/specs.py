@@ -100,13 +100,7 @@ class SuperLayerSpec:
             raise ShapeError(
                 f"input dims must be positive, got {self.input_h}x{self.input_w}"
             )
-        h, w = self.conv_out_dims()
-        if h < 1 or w < 1:
-            raise ShapeError(f"conv output dims {h}x{w} are not positive")
-        if self.pool is not None:
-            ph, pw = self.pool.out_dims(h, w)
-            if ph < 1 or pw < 1:
-                raise ShapeError(f"pooled output dims {ph}x{pw} are not positive")
+        self.out_dims()  # conv_out_dim and pool_out_dim reject an empty output
 
     def conv_out_dims(self) -> tuple[int, int]:
         return self.conv.out_dims(self.input_h, self.input_w)

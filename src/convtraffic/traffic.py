@@ -73,8 +73,6 @@ class StrategySet:
     @classmethod
     def first(cls, count: int) -> "StrategySet":
         """Cumulative prefix: first(3) enables strategies 1, 2 and 3."""
-        if not 0 <= count <= 5:
-            raise ConfigError(f"strategy prefix must be 0..5, got {count}")
         flags = [i < count for i in range(5)]
         return cls(*flags)
 

@@ -348,9 +348,9 @@ def test_criterion_10_property_suite(alexnet, paper_hw):
 
 
 def test_reported_constants_are_echoed_only(paper_hw):
-    # absolute board throughputs and resource counts are out of model scope:
-    # they appear as reported constants in comparison output, while the
-    # peak-throughput model is held to the reported figure at a relaxed 10%
+    # absolute board throughputs are out of model scope: the peak-throughput
+    # model is held to the reported figure at a relaxed 10%, and the extended
+    # board's figure enters only the abstract's throughput ratio
     modeled = peak_throughput(paper_hw, 5)
     ok = _within(modeled, presets.REPORTED_THROUGHPUT_FLOPS, 0.10)
     _report(
@@ -358,5 +358,4 @@ def test_reported_constants_are_echoed_only(paper_hw):
         f"peak model {modeled / 1e9:.1f} GFlop/s within 10% of the reported figure",
     )
     assert ok, modeled
-    assert presets.REPORTED_RESOURCES["base board"]["fp"]["DSP"] == 413
     assert presets.REPORTED_THROUGHPUT_EXTENDED_FLOPS == 1244e9

@@ -4,14 +4,15 @@ import importlib.util
 import io
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
-from convtraffic import cli, presets
+from convtraffic import cli, presets, verify
 from convtraffic.cli import load_hw, load_network, main
 from convtraffic.errors import ShapeError
+from convtraffic.traffic import Phase, StrategySet
 
 
 @pytest.fixture
@@ -122,6 +123,19 @@ def _toy2_with(**first_layer):
     return doc
 
 
+def _corrupt_first_gradient(monkeypatch):
+    """A negative control for gradcheck: the analytic gradient of the first
+    weight of layer 1 comes out 1.0 too large."""
+    real = cli.analytic_kernel_gradients
+
+    def corrupted(*args):
+        grads = real(*args)
+        grads[0][0, 0, 0, 0] += 1.0
+        return grads
+
+    monkeypatch.setattr(cli, "analytic_kernel_gradients", corrupted)
+
+
 class TestFrontDoor:
     """Malformed configuration files exit 2 with exactly one error line."""
 
@@ -223,6 +237,41 @@ class TestFrontDoor:
         assert len(err) == 1 and err[0].startswith(f"error: {needle}")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command, kind, mutate, message", [
+        ("analyze", "hw", lambda doc: [doc], "a hardware document must be an object, got list"),
+        ("analyze", "hw", lambda doc: {**doc, "relu_pool_units": 2},
+         "unknown hardware keys: relu_pool_units"),
+        ("analyze", "hw", lambda doc: {k: v for k, v in doc.items() if k != "max_k"},
+         "missing hardware keys: max_k"),
+        ("analyze", "net", lambda doc: {**doc, "layers": "conv"},
+         "key '.layers' must be a list, got 'conv'"),
+        ("analyze", "net", lambda doc: {**doc, "layers": [doc["layers"][0], 7]},
+         "'layers[1]' must be an object, got 7"),
+        ("analyze", "net", lambda doc: {**doc, "layers": [
+            {k: v for k, v in doc["layers"][0].items() if not k.startswith("input_")},
+            doc["layers"][1]]}, "missing required key 'layers[0].input_h' on first layer"),
+        ("analyze", "net", lambda doc: _toy2_with(pool={"p": 0, "stride": 1}),
+         "pooling window must be positive, got 0"),
+        ("analyze", "net", lambda doc: _toy2_with(groups=0), "group count must be positive, got 0"),
+        ("analyze", "net", lambda doc: _toy2_with(input_h=0),
+         "input dims must be positive, got 0x8"),
+        ("analyze", "net", lambda doc: {**doc, "batch": 0}, "batch must be positive, got 0"),
+        ("gradcheck", "net", lambda doc: {"name": "wide", "batch": 1, "layers": [
+            {"conv": {"n": 16, "m": 64, "k": 5, "stride": 1, "pad": 2},
+             "input_h": 64, "input_w": 64}]}, "gradcheck needs a toy-scale network"),
+    ], ids=["hw-list", "hw-unknown-key", "hw-missing-key", "layers-text", "layer-not-object",
+            "first-layer-no-dims", "pool-p-0", "groups-0", "input-h-0", "batch-0",
+            "gradcheck-not-toy"])
+    def test_invalid_document(self, tmp_path, capsys, command, kind, mutate, message):
+        doc = copy.deepcopy(TOY2) if kind == "net" else asdict(presets.paper_hw())
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(mutate(doc)))
+        flags = ["--net", str(path)] if kind == "net" else ["--net", "toy2", "--hw", str(path)]
+        assert main([command, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.out == ""
+
     def test_hardware_document_round_trip(self, tmp_path):
         path = tmp_path / "hw.json"
         path.write_text(json.dumps(asdict(presets.paper_hw())))
@@ -313,8 +362,11 @@ class TestCompare:
 
     def test_unknown_preset_lists_options(self, capsys):
         assert main(["compare", "nope"]) == 2
-        err = capsys.readouterr().err
-        assert "table3-fp" in err
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown comparison preset 'nope'; available: abstract, cascade, "
+            "efficiency, fig14, fig6, peak, reconfig, table1, table3-dp, table3-fp, "
+            "table3-ku, table3-ops, all"
+        ]
 
     def test_rows_carry_provenance_notes(self, capsys):
         assert main(["compare", "table3-fp", "--format", "json"]) == 0
@@ -329,8 +381,18 @@ class TestGradcheck:
         assert all(l["max_rel_err"] <= 1e-3 for l in payload["layers"])
         assert payload["failures"] == []
 
-    def test_corrupted_gradient_fails_with_location(self, capsys):
-        assert main(["gradcheck", "--seed", "7", "--corrupt-gradient", "--format", "json"]) == 1
+    def test_pooled_last_layer_passes(self, tmp_path, capsys):
+        doc = copy.deepcopy(TOY2)
+        doc["layers"][1]["pool"] = {"p": 2, "stride": 2}
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        assert main(["gradcheck", "--net", str(path), "--seed", "7", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [l["pass"] for l in payload["layers"]] == [True, True]
+
+    def test_corrupted_gradient_fails_with_location(self, capsys, monkeypatch):
+        _corrupt_first_gradient(monkeypatch)
+        assert main(["gradcheck", "--seed", "7", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["failures"]
         assert "layer 1" in payload["failures"][0]
@@ -388,25 +450,35 @@ class TestFailureChannel:
         err = _failure_channel(capsys, ["compare", "table3-ku"])
         assert len(err) == 1 and "total normalized BW, ku (MB/GFlop)" in err[0]
 
-    def test_gradcheck(self, capsys):
-        err = _failure_channel(capsys, ["gradcheck", "--seed", "7", "--corrupt-gradient"])
+    def test_gradcheck(self, capsys, monkeypatch):
+        _corrupt_first_gradient(monkeypatch)
+        err = _failure_channel(capsys, ["gradcheck", "--seed", "7"])
         assert len(err) == 1 and err[0].startswith("FAILED: layer 1 weight (0, 0, 0, 0)")
 
     def test_simulate(self, capsys, monkeypatch):
-        real = cli.simulate_layer
+        real = verify.super_traffic
+        model = real(1, presets.toy2(), Phase.FP, StrategySet.all_on(), 4).input_bytes
 
-        def mismatched(*args, **kwargs):
-            check = real(*args, **kwargs)
-            check.model_match, check.model_mismatch = False, "input_bytes: injected"
-            return check
+        def one_byte_off(*args):
+            report = real(*args)
+            return replace(report, input_bytes=report.input_bytes + 1)
 
-        monkeypatch.setattr(cli, "simulate_layer", mismatched)
+        monkeypatch.setattr(verify, "super_traffic", one_byte_off)
         argv = ["simulate", "--net", "toy2", "--layer", "2", "--check-against-model"]
+        message = f"layer 2: input_bytes: simulator {model} vs model {model + 1}"
         err = _failure_channel(capsys, argv)
-        assert err == ["FAILED: layer 2: input_bytes: injected"]
+        assert err == [f"FAILED: {message}"]
         assert main([*argv, "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["failures"] == ["layer 2: input_bytes: injected"]
+        assert payload["failures"] == [message]
+        assert payload["layers"][0]["model_match"] is False
+
+    def test_simulate_reference_error(self, capsys, monkeypatch):
+        real = verify.reference_phase_result
+        monkeypatch.setattr(verify, "reference_phase_result", lambda *args: real(*args) * 1.01)
+        argv = ["simulate", "--net", "toy2", "--layer", "2", "--check-against-reference"]
+        err = _failure_channel(capsys, argv)
+        assert err == ["FAILED: layer 2: max relative error 0.0099 exceeds 1e-05"]
 
 
 class TestDeterminism:

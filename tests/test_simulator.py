@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from convtraffic.archmodel import cycle_count, sram_budget
-from convtraffic.errors import ConfigError
+from convtraffic.errors import ConfigError, ShapeError
 from convtraffic.reference import conv_forward, super_forward
-from convtraffic import simulator
+from convtraffic import presets, simulator
 from convtraffic.simulator import (
     LineBuffer,
     _act_pool_engine,
@@ -16,7 +16,14 @@ from convtraffic.simulator import (
     kernel_matrix,
     run_super_layer,
 )
-from convtraffic.specs import ConvSpec, NetworkSpec, PoolSpec, SuperLayerSpec
+from convtraffic.specs import (
+    ConvSpec,
+    NetworkSpec,
+    PoolSpec,
+    SuperLayerSpec,
+    check_kernels,
+    check_maps,
+)
 from convtraffic.traffic import Phase, StrategySet, transpose_geometry
 from convtraffic.verify import max_relative_error, simulate_layer
 
@@ -180,6 +187,29 @@ def _toy_layer():
 
 def _toy_net():
     return NetworkSpec("toy", 1, (_toy_layer(),), (1,))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: check_maps(np.zeros((2, 3)), 2, 3, 3), ShapeError, "expected 3 axes"),
+    (lambda: check_maps(np.zeros((1, 3, 3)), 2, 3, 3), ShapeError, "maps axis is 1, expected 2"),
+    (lambda: check_maps(np.zeros((2, 3, 4)), 2, 3, 3), ShapeError, "width axis is 4, expected 3"),
+    (lambda: check_kernels(np.zeros((2, 3, 3)), ConvSpec(2, 3, 3)), ShapeError,
+     "expected 4 axes"),
+    (lambda: check_kernels(np.zeros((1, 3, 3, 3)), ConvSpec(2, 3, 3)), ShapeError,
+     "input-map axis is 1, expected 2"),
+    (lambda: check_kernels(np.zeros((2, 1, 3, 3)), ConvSpec(2, 3, 3)), ShapeError,
+     "output-map axis is 1, expected 3"),
+    (lambda: run_super_layer(None, None, _toy_layer(), presets.paper_hw(), StrategySet.none(),
+                             Phase.DP), ConfigError, "needs the previous super layer"),
+    (lambda: max_relative_error(np.zeros((2, 3)), np.zeros((3, 2))), ConfigError,
+     "shape mismatch"),
+    (lambda: NetworkSpec("x", 1, (_toy_layer(),), (1, 2)), ShapeError,
+     "groups list has 2 entries for 1 layers"),
+], ids=["maps-ndim", "maps-count", "maps-width", "kernels-ndim", "kernels-n", "kernels-m",
+        "dp-without-prev-layer", "error-shapes", "groups-length"])
+def test_library_entry_rejects_a_wrong_axis(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestRunSuperLayer:
