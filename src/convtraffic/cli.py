@@ -160,7 +160,8 @@ def cmd_simulate(manifest: RunManifest, seed: int, layer_index: int | None, chec
         ref_err = check.reference_error if check_reference else None
         if check_model and not model_ok:
             failures.append(f"layer {index + 1}: {check.model_mismatch}")
-        if check_reference and ref_err is not None and ref_err > 1e-5:
+        # written so that a NaN error fails too
+        if check_reference and ref_err is not None and not ref_err <= 1e-5:
             failures.append(
                 f"layer {index + 1}: max relative error {ref_err:.3g} exceeds 1e-05"
             )
@@ -218,18 +219,16 @@ def cmd_compare(preset: str, tolerance: float | None) -> Report:
 
 
 def cmd_gradcheck(net: NetworkSpec, seed: int, epsilon: float) -> Report:
-    rng = np.random.default_rng(seed)
-    first = net.layers[0]
-    x0 = rng.standard_normal((first.conv.n, first.input_h, first.input_w))
-    banks = [
-        rng.standard_normal((l.conv.n, l.conv.m, l.conv.k, l.conv.k)) * 0.5
-        for l in net.layers
-    ]
     if any(g != 1 for g in net.groups):
         raise ConfigError("gradcheck runs ungrouped networks only")
-    total_weights = sum(b.size for b in banks)
-    if total_weights * np.prod(x0.shape) > 1e7:
+    first = net.layers[0]
+    x_shape = (first.conv.n, first.input_h, first.input_w)
+    bank_shapes = [(l.conv.n, l.conv.m, l.conv.k, l.conv.k) for l in net.layers]
+    if sum(map(math.prod, bank_shapes)) * math.prod(x_shape) > 1e7:
         raise ConfigError("gradcheck needs a toy-scale network")
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(x_shape)
+    banks = [rng.standard_normal(shape) * 0.5 for shape in bank_shapes]
 
     grads = analytic_kernel_gradients(net, banks, x0)
 

@@ -7,9 +7,10 @@ the dtype of its inputs, the 32-bit path agrees with the simulator within
 1e-5 relative error, and verification oracles run the same code in 64-bit.
 
 Windows are read-only strided views from specs.window_view, the simulator's
-helper too, over a zero-filled pad for the convs. np.tensordot's operand
-layout and order, windows on the left, fix the reference's bits, so a change
-made for speed must keep them.
+helper too, over a zero-filled pad for the convs. Each conv contraction runs
+the transpose, reshape and np.dot steps np.tensordot runs, in its operand
+order, windows on the left. Those steps' copies and that order fix the
+reference's bits, so a change made for speed must keep them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .traffic import transpose_conv
 
 def _padded_windows(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     """window_view over a zero-filled pad of x in np.pad's memory order, even
-    for pad 0: tensordot reshapes from that layout, so it fixes the bits."""
+    for pad 0: the contraction reshapes from that layout, so it fixes the bits."""
     maps, h, w = x.shape
     xpad = np.zeros((maps, h + 2 * pad, w + 2 * pad), x.dtype, "F" if x.flags.fnc else "C")
     xpad[:, pad : pad + h, pad : pad + w] = x
@@ -48,10 +49,13 @@ def conv_forward(x: np.ndarray, ker: np.ndarray, spec: ConvSpec) -> np.ndarray:
         raise ShapeError(f"input: maps axis is {got}, expected {spec.n}")
     common = np.result_type(x.dtype, ker.dtype)
     win = _padded_windows(x.astype(common, copy=False), spec.k, spec.stride, spec.pad)
-    # windows as the left operand: on small random nets this orientation
-    # lands closer to a 64-bit evaluation than kernels on the left
-    y = np.tensordot(win, ker.astype(common, copy=False), axes=([0, 3, 4], [0, 2, 3]))
-    return np.moveaxis(y, 2, 0)
+    n, ho, wo, k, _ = win.shape
+    # tensordot(win, ker, axes=([0, 3, 4], [0, 2, 3])) step by step; windows
+    # as the left operand: on small random nets this orientation lands closer
+    # to a 64-bit evaluation than kernels on the left
+    lhs = win.transpose(1, 2, 0, 3, 4).reshape(ho * wo, n * k * k)
+    rhs = ker.astype(common, copy=False).transpose(0, 2, 3, 1).reshape(n * k * k, spec.m)
+    return np.dot(lhs, rhs).reshape(ho, wo, spec.m).transpose(2, 0, 1)
 
 
 def act_forward(x: np.ndarray) -> np.ndarray:
@@ -90,7 +94,7 @@ def conv_backward_delta(delta_y: np.ndarray, ker: np.ndarray, spec: ConvSpec) ->
     """
     check_kernels(ker, spec)
     rotated = ker[:, :, ::-1, ::-1]
-    swapped = np.ascontiguousarray(np.transpose(rotated, (1, 0, 2, 3)))
+    swapped = np.ascontiguousarray(rotated.transpose(1, 0, 2, 3))
     return conv_forward(delta_y, swapped, transpose_conv(spec))
 
 
@@ -158,8 +162,13 @@ def kernel_gradient(x: np.ndarray, delta: np.ndarray, spec: ConvSpec) -> np.ndar
         raise ShapeError(f"input: maps axis is {x.shape[0]}, expected {spec.n}")
     common = np.result_type(x.dtype, delta.dtype)
     win = _padded_windows(x.astype(common, copy=False), spec.k, spec.stride, spec.pad)
-    grad = np.tensordot(win, delta.astype(common, copy=False), axes=([1, 2], [1, 2]))
-    return grad.transpose(0, 3, 1, 2)
+    n, k = spec.n, spec.k
+    # tensordot(win, delta, axes=([1, 2], [1, 2])) step by step; the delta
+    # operand goes through the same transpose and reshape, which copies an
+    # F-ordered delta into the layout tensordot hands to BLAS
+    lhs = win.transpose(0, 3, 4, 1, 2).reshape(n * k * k, ho * wo)
+    rhs = delta.astype(common, copy=False).transpose(1, 2, 0).reshape(ho * wo, spec.m)
+    return np.dot(lhs, rhs).reshape(n, k, k, spec.m).transpose(0, 3, 1, 2)
 
 
 def finite_diff_gradient(

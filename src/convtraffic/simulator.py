@@ -266,7 +266,7 @@ def _conv_sweep(
             # blocks (KU_BLOCK_BYTES), and contiguous (ho, wo, m) deltas
             store = np.zeros((rows, m), dtype=np.float32)
             block_rows = max(1, KU_BLOCK_BYTES // (8 * m))
-            d_at = np.ascontiguousarray(np.moveaxis(delta, 0, -1), dtype=np.float32)
+            d_at = np.ascontiguousarray(delta.transpose(1, 2, 0), dtype=np.float32)
         else:
             kmat = kernel_matrix(kers)
             y = np.zeros((m, ho, wo), dtype=np.float32)
@@ -413,8 +413,9 @@ def _pool_transpose_gather(
             f"delta dims {d.shape[1]}x{d.shape[2]} do not match pooled dims {ph}x{pw}"
         )
     out = np.zeros((d.shape[0], out_h, out_w), dtype=np.float32)
+    col_runs = list(_covering_runs(out_w, pw, p, s))
     for rows, r0, nr in _covering_runs(out_h, ph, p, s):
-        for cols, c0, nc in _covering_runs(out_w, pw, p, s):
+        for cols, c0, nc in col_runs:
             block = out[:, rows, cols]
             bh, bw = block.shape[1:]
             _window_sum(lambda t: d[:, r0 + t // nc : r0 + t // nc + bh,
@@ -461,7 +462,7 @@ def run_super_layer(
             check_maps(delta, conv.m, ho, wo, "delta")
         check_kernels(kers, conv)
         if phase is Phase.DP:
-            kers = np.transpose(kers[:, :, ::-1, ::-1], (1, 0, 2, 3))
+            kers = kers[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     swept = _conv_sweep(
         x, kers, geometry.conv, geometry.input_h, geometry.input_w, hw, strategies, counters,
         phase, delta,

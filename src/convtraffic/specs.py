@@ -217,6 +217,8 @@ def network_from_dict(doc: dict) -> NetworkSpec:
     if not isinstance(doc, dict):
         raise ShapeError(f"a network document must be an object, got {type(doc).__name__}")
     name = doc.get("name", "unnamed")
+    if not isinstance(name, str):
+        raise ShapeError(f"key '.name' must be a string, got {name!r}")
     batch = _int_at(doc, "batch", "")
     raw_layers = _require(doc, "layers", "")
     if not isinstance(raw_layers, list):

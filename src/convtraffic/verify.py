@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,9 +19,11 @@ def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
     """Largest elementwise deviation scaled by the reference max magnitude."""
     if a.shape != b.shape:
         raise ConfigError(f"shape mismatch {a.shape} vs {b.shape}")
-    scale = max(float(np.max(np.abs(b))), 1e-30)
+    # np.maximum.reduce directly: np.max's wrapper costs more than the
+    # reduction on the small arrays checked here
+    scale = max(float(np.maximum.reduce(np.abs(b), axis=None)), 1e-30)
     diff = np.subtract(a, b, dtype=np.float64)
-    return float(np.max(np.abs(diff, out=diff))) / scale
+    return float(np.maximum.reduce(np.abs(diff, out=diff), axis=None)) / scale
 
 
 def random_phase_tensors(
@@ -104,10 +107,12 @@ def simulate_layer(
     prev_layer = net.layers[index - 1] if index > 0 else None
     rng = np.random.default_rng(seed)
     # the model first: it rejects a batch below 1, or a phase the layer does
-    # not have, before anything is drawn
-    model = super_traffic(index, replace(net, batch=batch), phase, strategies, hw.word_bytes)
+    # not have, before anything is drawn; replace re-runs NetworkSpec's
+    # checks, so it runs only for a batch other than the net's
+    batch_net = net if batch == net.batch else replace(net, batch=batch)
+    model = super_traffic(index, batch_net, phase, strategies, hw.word_bytes)
 
-    sim_traffic = TrafficReport()
+    sim_traffic = None
     cycles = 0
     reference_error = None
     for _ in range(batch):
@@ -125,16 +130,18 @@ def simulate_layer(
             groups=groups,
             trace=trace,
         )
-        sim_traffic += result.traffic
+        sim_traffic = result.traffic if sim_traffic is None else sim_traffic + result.traffic
         cycles += result.cycles
         if check_reference and compute:
             expected = reference_phase_result(layer, prev_layer, tensors, phase)
             got = result.grad if phase is Phase.KU else result.outputs
             err = max_relative_error(got, expected)
-            reference_error = err if reference_error is None else max(reference_error, err)
+            # max() would drop a NaN met after a number; keep it instead
+            if reference_error is None or err > reference_error or math.isnan(err):
+                reference_error = err
 
-    # the kernel preload is charged once, not once per image
-    sim_traffic = replace(sim_traffic, kernel_bytes=result.traffic.kernel_bytes)
+    if batch > 1:  # the kernel preload is charged once, not once per image
+        sim_traffic = replace(sim_traffic, kernel_bytes=result.traffic.kernel_bytes)
     check = LayerCheck(
         sim_traffic=sim_traffic,
         cycles=cycles,

@@ -7,6 +7,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from convtraffic import cli, presets, verify
@@ -259,9 +260,11 @@ class TestFrontDoor:
         ("gradcheck", "net", lambda doc: {"name": "wide", "batch": 1, "layers": [
             {"conv": {"n": 16, "m": 64, "k": 5, "stride": 1, "pad": 2},
              "input_h": 64, "input_w": 64}]}, "gradcheck needs a toy-scale network"),
+        ("analyze", "net", lambda doc: {**doc, "name": {"x": [1, 2]}},
+         "key '.name' must be a string, got {'x': [1, 2]}"),
     ], ids=["hw-list", "hw-unknown-key", "hw-missing-key", "layers-text", "layer-not-object",
             "first-layer-no-dims", "pool-p-0", "groups-0", "input-h-0", "batch-0",
-            "gradcheck-not-toy"])
+            "gradcheck-not-toy", "name-not-string"])
     def test_invalid_document(self, tmp_path, capsys, command, kind, mutate, message):
         doc = copy.deepcopy(TOY2) if kind == "net" else asdict(presets.paper_hw())
         path = tmp_path / f"{kind}.json"
@@ -398,9 +401,27 @@ class TestGradcheck:
         assert "layer 1" in payload["failures"][0]
         assert payload["layers"][0]["worst_weight"] == [0, 0, 0, 0]
 
-    def test_grouped_network_rejected(self, capsys):
+    def test_grouped_network_rejected(self, capsys, monkeypatch):
+        # rejected from the specs alone, before any tensor is drawn
+        draws = []
+        real = np.random.default_rng
+
+        class Spy:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def standard_normal(self, shape):
+                draws.append(shape)
+                return self.rng.standard_normal(shape)
+
+        monkeypatch.setattr(np.random, "default_rng", Spy)
         assert main(["gradcheck", "--net", "alexnet"]) == 2
-        assert "ungrouped" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "error: gradcheck runs ungrouped networks only"]
+        assert draws == []
+        # the spy sees the draws of a network that passes both checks
+        assert main(["gradcheck", "--seed", "7"]) == 0
+        assert len(draws) == 1 + len(presets.toy2().layers)
 
 
 class TestRoofline:
@@ -479,6 +500,25 @@ class TestFailureChannel:
         argv = ["simulate", "--net", "toy2", "--layer", "2", "--check-against-reference"]
         err = _failure_channel(capsys, argv)
         assert err == ["FAILED: layer 2: max relative error 0.0099 exceeds 1e-05"]
+
+    @pytest.mark.parametrize("batch, nan_image", [(1, 0), (2, 1)])
+    def test_simulate_nan_reference_error(self, capsys, monkeypatch, batch, nan_image):
+        real = verify.run_super_layer
+        calls = []
+
+        def nan_output(*args, **kwargs):
+            result = real(*args, **kwargs)
+            if len(calls) == nan_image:
+                result.outputs[0, 0, 0] = np.nan
+            calls.append(1)
+            return result
+
+        monkeypatch.setattr(verify, "run_super_layer", nan_output)
+        argv = ["simulate", "--net", "toy2", "--layer", "2", "--batch", str(batch),
+                "--check-against-reference"]
+        err = _failure_channel(capsys, argv)
+        assert err == ["FAILED: layer 2: max relative error nan exceeds 1e-05"]
+        assert len(calls) == batch
 
 
 class TestDeterminism:
