@@ -15,15 +15,40 @@ from .specs import NetworkSpec, SuperLayerSpec
 from .traffic import Phase, StrategySet, TrafficReport, phase_geometry, super_traffic
 
 
+# Float64 values per block of a draw or an error check: 256 KiB, so a large
+# tensor never has a whole-tensor float64 temporary
+CHUNK_VALUES = 2**15
+
+
 def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest elementwise deviation scaled by the reference max magnitude."""
+    """Largest elementwise deviation scaled by the reference max magnitude.
+
+    Checked in blocks of about CHUNK_VALUES values along the first axis, so
+    no whole-array copy is made; np.maximum keeps a NaN from any block."""
     if a.shape != b.shape:
         raise ConfigError(f"shape mismatch {a.shape} vs {b.shape}")
-    # np.maximum.reduce directly: np.max's wrapper costs more than the
-    # reduction on the small arrays checked here
-    scale = max(float(np.maximum.reduce(np.abs(b), axis=None)), 1e-30)
-    diff = np.subtract(a, b, dtype=np.float64)
-    return float(np.maximum.reduce(np.abs(diff, out=diff), axis=None)) / scale
+    step = max(1, CHUNK_VALUES * len(a) // a.size)
+    top = dev = 0.0
+    for i in range(0, len(a), step):
+        a_rows, b_rows = a[i:i + step], b[i:i + step]
+        # np.maximum.reduce directly: np.max's wrapper costs more than the
+        # reduction on the small arrays checked here
+        diff = np.subtract(a_rows, b_rows, dtype=np.float64)
+        top = np.maximum.reduce(np.abs(b_rows), axis=None, initial=top)
+        dev = np.maximum.reduce(np.abs(diff, out=diff), axis=None, initial=dev)
+    return float(dev) / max(float(top), 1e-30)
+
+
+def _draw(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """rng.standard_normal(shape).astype(np.float32), with the same bits and
+    the same generator state after, drawn at most CHUNK_VALUES float64 values
+    at a time straight into the float32 array."""
+    out = np.empty(shape, np.float32)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, CHUNK_VALUES):
+        flat[start:start + CHUNK_VALUES] = rng.standard_normal(
+            min(CHUNK_VALUES, flat.size - start))
+    return out
 
 
 def random_phase_tensors(
@@ -38,15 +63,12 @@ def random_phase_tensors(
     conv = layer.conv
     geom = phase_geometry(layer, phase)
 
-    def draw(*shape):
-        return rng.standard_normal(shape).astype(np.float32)
-
-    tensors = {"kers": draw(conv.n, conv.m, conv.k, conv.k),
-               "x": draw(geom.conv.n, geom.input_h, geom.input_w)}
+    tensors = {"kers": _draw(rng, (conv.n, conv.m, conv.k, conv.k)),
+               "x": _draw(rng, (geom.conv.n, geom.input_h, geom.input_w))}
     if phase is Phase.DP and prev_layer is not None and prev_layer.has_act:
-        tensors["prev_pre_act"] = draw(conv.n, *prev_layer.conv_out_dims())
+        tensors["prev_pre_act"] = _draw(rng, (conv.n, *prev_layer.conv_out_dims()))
     elif phase is Phase.KU:
-        tensors["delta"] = draw(conv.m, *layer.conv_out_dims())
+        tensors["delta"] = _draw(rng, (conv.m, *layer.conv_out_dims()))
     return tensors
 
 
@@ -116,6 +138,8 @@ def simulate_layer(
     cycles = 0
     reference_error = None
     for _ in range(batch):
+        # drop the previous image's arrays before this image draws
+        tensors = result = expected = got = None
         tensors = random_phase_tensors(rng, layer, prev_layer, phase)
         result = run_super_layer(
             tensors["x"] if compute else None,

@@ -2,16 +2,17 @@
 
     python3 tools/bench_record.py BENCH_13.json
 
-The record holds the wall time of the tier-1 suite, of `compare all`, and
-of `simulate --net alexnet --strategies all` with both checks for each
-phase, each one whole process with its exit code. Then, for every AlexNet
-(layer, phase) pair, the median seconds over REPEATS in-process runs of the
-simulator counting only, the simulator computing, and the reference math
-alone, on seeded tensors drawn as `verify.simulate_layer` draws them. Last, the
-`src/` line count and the run context, whose `head_commit` is the checkout's
-HEAD: the record covers the working tree as it is. The AlexNet document and its
-defined phases come from benchmarks/workloads.py, and the package import
-and thread settings from benchmarks/run.py, both loaded read-only.
+The record holds the wall time and peak RSS of the tier-1 suite, of
+`compare all`, and of `simulate --net alexnet --strategies all` with both
+checks for each phase, each one whole process with its exit code. Then, for
+every AlexNet (layer, phase) pair, the median seconds over REPEATS
+in-process runs of the simulator counting only, the simulator computing, and
+the reference math alone, on seeded tensors drawn as `verify.simulate_layer`
+draws them. Last, the `src/` line count and the run context, whose
+`head_commit` is the checkout's HEAD: the record covers the working tree as
+it is. The AlexNet document and its defined phases come from
+benchmarks/workloads.py, and the package import and thread settings from
+benchmarks/run.py, both loaded read-only.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -36,17 +38,25 @@ SEED = 0
 
 
 def timed_process(argv: list[str]) -> dict:
-    """Wall seconds and exit code of one command run from the checkout root,
-    with src/ on the import path."""
+    """Wall seconds, peak RSS and exit code of one command run from the
+    checkout root, with src/ on the import path. The peak is the child's own
+    ru_maxrss (KiB on Linux), read from os.wait4 as the child is reaped."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    start = time.perf_counter()
-    done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, check=False)
-    lines = done.stdout.strip().splitlines()
-    record = {"seconds": time.perf_counter() - start, "exit": done.returncode,
-              "last_line": lines[-1] if lines else ""}
-    if done.returncode not in (0, 1):
-        raise SystemExit(f"error: {' '.join(argv)} exited {done.returncode}: "
-                         f"{done.stderr.strip()[-500:]}")
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        child = subprocess.Popen(argv, cwd=ROOT, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(child.pid, 0)
+        seconds = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read().decode(), err.read().decode()
+    lines = stdout.strip().splitlines()
+    record = {"seconds": seconds, "peak_rss_mb": usage.ru_maxrss * 1024 / 1e6,
+              "exit": child.returncode, "last_line": lines[-1] if lines else ""}
+    if child.returncode not in (0, 1):
+        raise SystemExit(f"error: {' '.join(argv)} exited {child.returncode}: "
+                         f"{stderr.strip()[-500:]}")
     return record
 
 
