@@ -9,8 +9,15 @@ the dtype of its inputs, the 32-bit path agrees with the simulator within
 Windows are read-only strided views from specs.window_view, the simulator's
 helper too, over a zero-filled pad for the convs. Each conv contraction runs
 the transpose, reshape and np.dot steps np.tensordot runs, in its operand
-order, windows on the left. Those steps' copies and that order fix the
-reference's bits, so a change made for speed must keep them.
+order, windows on the left, in row blocks written through out= into one
+preallocated result, so no whole-layer window matrix exists. Those steps'
+copies, that order and the kernel operand's strides fix the reference's
+bits, so a change made for speed must keep them. A block holds at most
+CHUNK_BYTES of windows, unless the BLAS would run so small a block another
+way than the whole product (_blocks); then blocks are larger, or the
+product runs whole. A kernel bank already laid out as the contraction reads
+it is not copied and gives the operand a copy would; with a single input
+map the operand is a view of the bank, whose bits follow the bank's order.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import numpy as np
 
 from .errors import GradcheckError, ShapeError
 from .specs import (
+    CHUNK_BYTES,
     ConvSpec,
     NetworkSpec,
     PoolSpec,
@@ -30,6 +38,14 @@ from .specs import (
     window_view,
 )
 from .traffic import transpose_conv
+
+# Bits of a row block of a product equal the whole product's only where
+# OpenBLAS takes the same path for both: it runs a product of at most 100**3
+# multiply-adds through its small-matrix kernels, and one of at most 16 rows
+# and few columns on one thread even when more are free; numpy runs a product
+# of one row or one column through gemv. Each path rounds its own way.
+SMALL_PRODUCT = 100**3
+MIN_ROWS = 17
 
 
 def _padded_windows(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
@@ -41,6 +57,18 @@ def _padded_windows(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     return window_view(xpad, k, stride)
 
 
+def _blocks(count: int, rows: int, width: int, m: int, itemsize: int) -> list[slice]:
+    """`count` units of `rows` rows each of a (count * rows, width) window
+    matrix that multiplies a (width, m) one, in the fewest blocks of at most
+    CHUNK_BYTES of windows that each do more than SMALL_PRODUCT multiply-adds
+    in at least MIN_ROWS rows, their sizes as even as can be; one block where
+    there is no such split, or the product has one column."""
+    most = max(1, CHUNK_BYTES // (rows * width * itemsize))
+    least = max(SMALL_PRODUCT // (rows * width * m) + 1, -(-MIN_ROWS // rows))
+    parts = max(1, min(-(-count // most), count // least)) if m > 1 else 1
+    return [slice(i * count // parts, (i + 1) * count // parts) for i in range(parts)]
+
+
 def conv_forward(x: np.ndarray, ker: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """y[j,r,c] = sum_i sum_uv x[i, r*s+u-pad, c*s+v-pad] * ker[i,j,u,v]."""
     check_kernels(ker, spec)
@@ -50,12 +78,15 @@ def conv_forward(x: np.ndarray, ker: np.ndarray, spec: ConvSpec) -> np.ndarray:
     common = np.result_type(x.dtype, ker.dtype)
     win = _padded_windows(x.astype(common, copy=False), spec.k, spec.stride, spec.pad)
     n, ho, wo, k, _ = win.shape
-    # tensordot(win, ker, axes=([0, 3, 4], [0, 2, 3])) step by step; windows
-    # as the left operand: on small random nets this orientation lands closer
-    # to a 64-bit evaluation than kernels on the left
-    lhs = win.transpose(1, 2, 0, 3, 4).reshape(ho * wo, n * k * k)
+    # tensordot(win, ker, axes=([0, 3, 4], [0, 2, 3])) step by step, in blocks
+    # of output rows; windows as the left operand: on small random nets this
+    # orientation lands closer to a 64-bit evaluation than kernels on the left
     rhs = ker.astype(common, copy=False).transpose(0, 2, 3, 1).reshape(n * k * k, spec.m)
-    return np.dot(lhs, rhs).reshape(ho, wo, spec.m).transpose(2, 0, 1)
+    out = np.empty((ho * wo, spec.m), common)
+    for rows in _blocks(ho, wo, n * k * k, spec.m, out.itemsize):
+        lhs = win[:, rows].transpose(1, 2, 0, 3, 4).reshape(-1, n * k * k)
+        np.dot(lhs, rhs, out=out[rows.start * wo : rows.stop * wo])
+    return out.reshape(ho, wo, spec.m).transpose(2, 0, 1)
 
 
 def act_forward(x: np.ndarray) -> np.ndarray:
@@ -93,8 +124,14 @@ def conv_backward_delta(delta_y: np.ndarray, ker: np.ndarray, spec: ConvSpec) ->
     effective zero padding of k-1-pad. Exact linear transpose of conv_forward.
     """
     check_kernels(ker, spec)
-    rotated = ker[:, :, ::-1, ::-1]
-    swapped = np.ascontiguousarray(rotated.transpose(1, 0, 2, 3))
+    swapped = ker[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    if spec.m == 1:
+        # conv_forward's operand is a view of this copy, in its order
+        swapped = np.ascontiguousarray(swapped)
+    else:
+        # at most one copy, in the (m, k, k, n) order conv_forward reads: the
+        # operand its own reshape of a C-ordered copy would give
+        swapped = np.ascontiguousarray(swapped.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
     return conv_forward(delta_y, swapped, transpose_conv(spec))
 
 
@@ -163,12 +200,16 @@ def kernel_gradient(x: np.ndarray, delta: np.ndarray, spec: ConvSpec) -> np.ndar
     common = np.result_type(x.dtype, delta.dtype)
     win = _padded_windows(x.astype(common, copy=False), spec.k, spec.stride, spec.pad)
     n, k = spec.n, spec.k
-    # tensordot(win, delta, axes=([1, 2], [1, 2])) step by step; the delta
-    # operand goes through the same transpose and reshape, which copies an
-    # F-ordered delta into the layout tensordot hands to BLAS
-    lhs = win.transpose(0, 3, 4, 1, 2).reshape(n * k * k, ho * wo)
+    # tensordot(win, delta, axes=([1, 2], [1, 2])) step by step, in blocks of
+    # input maps; the delta operand goes through the same transpose and
+    # reshape, which copies an F-ordered delta into the layout tensordot
+    # hands to BLAS
     rhs = delta.astype(common, copy=False).transpose(1, 2, 0).reshape(ho * wo, spec.m)
-    return np.dot(lhs, rhs).reshape(n, k, k, spec.m).transpose(0, 3, 1, 2)
+    out = np.empty((n * k * k, spec.m), common)
+    for maps in _blocks(n, k * k, ho * wo, spec.m, out.itemsize):
+        lhs = win[maps].transpose(0, 3, 4, 1, 2).reshape(-1, ho * wo)
+        np.dot(lhs, rhs, out=out[maps.start * k * k : maps.stop * k * k])
+    return out.reshape(n, k, k, spec.m).transpose(0, 3, 1, 2)
 
 
 def finite_diff_gradient(

@@ -46,7 +46,8 @@ import numpy as np
 
 from .archmodel import HwConfig, sram_budget
 from .errors import ConfigError, ShapeError
-from .specs import ConvSpec, PoolSpec, SuperLayerSpec, check_kernels, check_maps, window_view
+from .specs import (CHUNK_BYTES, ConvSpec, PoolSpec, SuperLayerSpec, check_kernels, check_maps,
+                    window_view)
 from .traffic import (
     Phase,
     StrategySet,
@@ -64,11 +65,6 @@ from .traffic import (
 # kernel update fell from 193 to 108 ms per checked pass (median of 3 traced
 # runs, 2-core Xeon with 2 MiB L2 per core, 1 BLAS thread), bits unchanged.
 KU_BLOCK_BYTES = 2**20
-
-# The row walker computes in chunks of max(1, CHUNK_BYTES // (4 * wo * n * k * k))
-# output rows, a window block in a quarter of a core's L2; kernel update batches
-# a store block's products when their stack fits in CHUNK_BYTES too.
-CHUNK_BYTES = 2**18
 
 
 class LineBuffer:
@@ -442,9 +438,11 @@ def run_super_layer(
     to the full group count.
 
     Per phase, x is the conv input (FP, KU) or the incoming delta at this
-    layer's conv output grid (DP). KU additionally takes the delta; DP takes
-    the previous layer's spec and, when it has an activation stage, its
-    pre-activation maps for the derivative mask. x None counts only.
+    layer's conv output grid (DP). FP and DP take the (n, m, k, k) kernels,
+    read in any memory order; KU takes the delta instead and no kernels. DP
+    also takes the previous layer's spec and, when it has an activation
+    stage, its pre-activation maps for the derivative mask. x None counts
+    only.
     """
     conv = layer.conv
     fused = strategies.fused_super_layer
@@ -460,7 +458,8 @@ def run_super_layer(
                    "delta" if phase is Phase.DP else "input")
         if phase is Phase.KU:
             check_maps(delta, conv.m, ho, wo, "delta")
-        check_kernels(kers, conv)
+        else:
+            check_kernels(kers, conv)
         if phase is Phase.DP:
             kers = kers[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     swept = _conv_sweep(

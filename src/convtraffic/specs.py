@@ -169,6 +169,12 @@ def check_maps(x: np.ndarray, maps: int, h: int, w: int, name: str = "maps") -> 
         raise ShapeError(f"{name}: width axis is {x.shape[2]}, expected {w}")
 
 
+# Bytes of one block on the checked path, an eighth of a core's 2 MiB L2: the
+# simulator's row chunks, the reference's contraction blocks and verify's
+# draw and error-check blocks are all this size.
+CHUNK_BYTES = 2**18
+
+
 def window_view(maps: np.ndarray, k: int, stride: int) -> np.ndarray:
     """Every k x k window of (n_maps, H, W) maps at stride `stride` on both
     axes, as one read-only (n_maps, out_h, out_w, k, k) view over the maps'

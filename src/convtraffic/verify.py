@@ -11,13 +11,13 @@ from .archmodel import HwConfig
 from .errors import ConfigError
 from .reference import kernel_gradient, super_backward_delta, super_forward
 from .simulator import SimResult, run_super_layer
-from .specs import NetworkSpec, SuperLayerSpec
+from .specs import CHUNK_BYTES, NetworkSpec, SuperLayerSpec
 from .traffic import Phase, StrategySet, TrafficReport, phase_geometry, super_traffic
 
 
-# Float64 values per block of a draw or an error check: 256 KiB, so a large
-# tensor never has a whole-tensor float64 temporary
-CHUNK_VALUES = 2**15
+# Float64 values per block of a draw or an error check, so a large tensor
+# never has a whole-tensor float64 temporary
+CHUNK_VALUES = CHUNK_BYTES // 8
 
 
 def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -39,16 +39,25 @@ def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(dev) / max(float(top), 1e-30)
 
 
-def _draw(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """rng.standard_normal(shape).astype(np.float32), with the same bits and
-    the same generator state after, drawn at most CHUNK_VALUES float64 values
-    at a time straight into the float32 array."""
-    out = np.empty(shape, np.float32)
-    flat = out.reshape(-1)
-    for start in range(0, flat.size, CHUNK_VALUES):
-        flat[start:start + CHUNK_VALUES] = rng.standard_normal(
-            min(CHUNK_VALUES, flat.size - start))
+def _draw(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill out, a float32 array of any memory layout, with what
+    rng.standard_normal(out.shape).astype(np.float32) holds, with the same
+    generator state after, drawn in out's index order at most CHUNK_VALUES
+    float64 values at a time."""
+    if out.ndim > 1 and out[0].size > CHUNK_VALUES:
+        for item in out:
+            _draw(rng, item)
+        return out
+    step = CHUNK_VALUES // out[0].size
+    for start in range(0, len(out), step):
+        out[start:start + step] = rng.standard_normal(out[start:start + step].shape)
     return out
+
+
+def _skip(rng: np.random.Generator, count: int) -> None:
+    """Move rng past count standard normals, CHUNK_VALUES at a time."""
+    for start in range(0, count, CHUNK_VALUES):
+        rng.standard_normal(min(CHUNK_VALUES, count - start))
 
 
 def random_phase_tensors(
@@ -58,17 +67,37 @@ def random_phase_tensors(
     phase: Phase,
 ) -> dict:
     """Seeded single-group tensors for one standalone layer run, drawn in
-    this order: kernels, the conv input x in the phase's geometry, then DP's
-    previous pre-activation or KU's delta."""
+    this order: kernels (n, m, k, k), the conv input x in the phase's
+    geometry, then DP's previous pre-activation or KU's delta.
+
+    The kernels are drawn straight into the memory order of the operand the
+    phase's conv contracts with, (input map, tap, output map), so neither
+    the simulator's kernel_matrix nor the reference copies them: FP's is
+    (n, k, k, m); DP's is (m, k, k, n) with the taps rotated, the transposed
+    conv's. A conv with one input map keeps the (n, m, k, k) draw order: the
+    reference's bits follow the kernel operand's strides, and that operand
+    is a view of the bank in the order it is given. KU has no kernel
+    operand: the generator moves past the kernel values and none is kept."""
     conv = layer.conv
     geom = phase_geometry(layer, phase)
+    n, m, k = conv.n, conv.m, conv.k
 
-    tensors = {"kers": _draw(rng, (conv.n, conv.m, conv.k, conv.k)),
-               "x": _draw(rng, (geom.conv.n, geom.input_h, geom.input_w))}
+    tensors = {}
+    if phase is Phase.KU:
+        _skip(rng, n * m * k * k)
+    elif geom.conv.n == 1:
+        tensors["kers"] = _draw(rng, np.empty((n, m, k, k), np.float32))
+    elif phase is Phase.FP:
+        tensors["kers"] = _draw(rng, np.empty((n, k, k, m), np.float32).transpose(0, 3, 1, 2))
+    else:
+        bank = np.empty((m, k, k, n), np.float32)[:, ::-1, ::-1]
+        tensors["kers"] = _draw(rng, bank.transpose(3, 0, 1, 2))
+    tensors["x"] = _draw(rng, np.empty((geom.conv.n, geom.input_h, geom.input_w), np.float32))
     if phase is Phase.DP and prev_layer is not None and prev_layer.has_act:
-        tensors["prev_pre_act"] = _draw(rng, (conv.n, *prev_layer.conv_out_dims()))
+        tensors["prev_pre_act"] = _draw(
+            rng, np.empty((n, *prev_layer.conv_out_dims()), np.float32))
     elif phase is Phase.KU:
-        tensors["delta"] = _draw(rng, (conv.m, *layer.conv_out_dims()))
+        tensors["delta"] = _draw(rng, np.empty((m, *layer.conv_out_dims()), np.float32))
     return tensors
 
 
@@ -143,7 +172,7 @@ def simulate_layer(
         tensors = random_phase_tensors(rng, layer, prev_layer, phase)
         result = run_super_layer(
             tensors["x"] if compute else None,
-            tensors["kers"],
+            tensors.get("kers"),
             layer,
             hw,
             strategies,

@@ -1,17 +1,23 @@
 """The checked path's draws and error check: same bits as whole-tensor calls,
-and bounded temporaries on AlexNet-sized tensors."""
+kernels drawn in the layout their phase reads, and bounded temporaries on
+AlexNet-sized tensors."""
 
 import tracemalloc
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy imports it on first use: not in a traced peak
 import pytest
 
 from convtraffic import verify
+from convtraffic.reference import conv_backward_delta
+from convtraffic.simulator import kernel_matrix
+from convtraffic.specs import ConvSpec, SuperLayerSpec
 from convtraffic.traffic import Phase, StrategySet
 from convtraffic.verify import (
     CHUNK_VALUES,
     max_relative_error,
     random_phase_tensors,
+    reference_phase_result,
     simulate_layer,
 )
 
@@ -51,28 +57,99 @@ def ku_gradients(seed):
 
 
 class TestDrawStream:
-    @pytest.mark.parametrize("shape", [(7, 31, 151), (8, 4096), (9, 11, 331), (37, 2657)],
-                             ids=["chunk-1", "chunk", "chunk+1", "3chunk+5"])
+    @pytest.mark.parametrize("shape", [(7, 31, 151), (8, 4096), (9, 11, 331), (37, 2657),
+                                       (2, C + 1)],
+                             ids=["chunk-1", "chunk", "chunk+1", "3chunk+5", "item-over-block"])
     def test_same_bits_and_state_as_one_call(self, shape):
-        assert np.prod(shape) in (C - 1, C, C + 1, 3 * C + 5)
+        assert np.prod(shape) in (C - 1, C, C + 1, 3 * C + 5, 2 * C + 2)
         rng, oracle = np.random.default_rng(11), np.random.default_rng(11)
-        got = verify._draw(rng, shape)
+        got = verify._draw(rng, np.empty(shape, np.float32))
         want = oracle.standard_normal(shape).astype(np.float32)
         assert got.shape == want.shape and got.dtype == np.float32
         assert got.tobytes() == want.tobytes()
         assert rng.standard_normal() == oracle.standard_normal()
 
     @pytest.mark.parametrize("index, phase, last", [(2, Phase.KU, "delta"),
-                                                    (1, Phase.DP, "prev_pre_act")])
+                                                    (1, Phase.DP, "prev_pre_act"),
+                                                    (2, Phase.FP, None)])
     def test_alexnet_tensors_match_one_call_per_tensor(self, alexnet, index, phase, last):
         layer, prev = alexnet.layers[index], alexnet.layers[index - 1]
-        got = random_phase_tensors(np.random.default_rng(4), layer, prev, phase)
-        assert got["kers"].size > C  # the multi-block path runs
-        want = one_call_tensors(np.random.default_rng(4), [(name, got[name].shape)
-                                                           for name in ("kers", "x", last)])
-        assert list(got) == list(want)
-        for name in want:
-            assert got[name].tobytes() == want[name].tobytes(), name
+        conv = layer.conv
+        rng, oracle = np.random.default_rng(4), np.random.default_rng(4)
+        got = random_phase_tensors(rng, layer, prev, phase)
+        names = ("x",) if phase is Phase.KU else ("kers", "x")
+        names += (last,) if last else ()
+        assert list(got) == list(names)
+        # the oracle draws the kernels first, and KU drops them
+        want = one_call_tensors(oracle, [
+            ("kers", (conv.n, conv.m, conv.k, conv.k)),
+            *((name, got[name].shape) for name in names if name != "kers")])
+        assert want["kers"].size > C  # the multi-block path runs
+        for name in names:
+            assert np.ascontiguousarray(got[name]).tobytes() == want[name].tobytes(), name
+        assert rng.standard_normal() == oracle.standard_normal()
+
+
+def two_layers(n, m, k, size=9):
+    """(layer, previous layer): an n -> m conv after a 3 -> n one, on size x
+    size maps; size = k gives the layer one output position."""
+    pad = k // 2 if size > k else 0
+    prev = SuperLayerSpec(ConvSpec(3, n, 3, pad=1), size, size)
+    return SuperLayerSpec(ConvSpec(n, m, k, pad=pad), size, size), prev
+
+
+class TestKernelLayout:
+    """The drawn bank is the operand its phase contracts with, so nothing
+    copies it, and the reference's bits do not depend on that layout."""
+
+    def test_fp_kernel_matrix_is_the_bank(self, alexnet):
+        kers = random_phase_tensors(np.random.default_rng(0), alexnet.layers[2], None,
+                                    Phase.FP)["kers"]
+        assert np.shares_memory(kernel_matrix(kers), kers)
+
+    def test_dp_operand_is_the_bank(self, alexnet):
+        kers = random_phase_tensors(np.random.default_rng(0), alexnet.layers[2],
+                                    alexnet.layers[1], Phase.DP)["kers"]
+        swapped = kers[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # as the simulator turns it
+        assert np.shares_memory(kernel_matrix(swapped), kers)
+
+    # the phase's conv has one input map: n for FP, m for the transposed DP one
+    @pytest.mark.parametrize("phase, n, m", [(Phase.FP, 1, 4), (Phase.DP, 4, 1)])
+    def test_one_map_operand_keeps_draw_order(self, phase, n, m):
+        layer, prev = two_layers(n, m, 3)
+        kers = random_phase_tensors(np.random.default_rng(0), layer, prev, phase)["kers"]
+        assert kers.shape == (n, m, 3, 3) and kers.flags.c_contiguous
+
+    # one output position among them: there the BLAS call and its bits
+    # follow the operand's memory order, even for a small bank
+    @pytest.mark.parametrize("phase", [Phase.FP, Phase.DP])
+    @pytest.mark.parametrize("n, m, k, size", [(1, 4, 3, 9), (4, 1, 3, 9), (1, 1, 3, 9),
+                                               (4, 5, 3, 9), (4, 5, 1, 9), (1, 5, 1, 9),
+                                               (4, 1, 1, 9), (1, 30, 3, 3), (1, 7, 2, 2),
+                                               (6, 30, 3, 3)])
+    def test_reference_bits_match_a_c_ordered_bank(self, phase, n, m, k, size):
+        layer, prev = two_layers(n, m, k, size)
+        tensors = random_phase_tensors(np.random.default_rng(n * m * k), layer, prev, phase)
+        c_ordered = {**tensors, "kers": np.ascontiguousarray(tensors["kers"])}
+        got = reference_phase_result(layer, prev, tensors, phase)
+        want = reference_phase_result(layer, prev, c_ordered, phase)
+        assert got.strides == want.strides and got.tobytes() == want.tobytes()
+
+    # with one map (m = 1) the operand is a view whose order sets the bits:
+    # 2 -> 1 and 3 -> 1 at k = 5 round differently when read in another order
+    @pytest.mark.parametrize("n, m, k, size", [(2, 1, 5, 2), (3, 1, 5, 6), (3, 1, 3, 1),
+                                               (30, 1, 1, 1), (3, 4, 3, 1), (30, 4, 1, 3)])
+    def test_transposed_operand_layout_keeps_bits(self, n, m, k, size):
+        """conv_backward_delta on a bank laid out as its transposed conv reads
+        it, (m, k, k, n) with the taps rotated, gives the C-ordered bank's bits."""
+        rng = np.random.default_rng(n + m + k)
+        spec = ConvSpec(n, m, k)
+        kers = rng.standard_normal((n, m, k, k))
+        laid_out = np.empty((m, k, k, n))[:, ::-1, ::-1].transpose(3, 0, 1, 2)
+        laid_out[...] = kers
+        dy = rng.standard_normal((m, size, size))
+        got, want = conv_backward_delta(dy, laid_out, spec), conv_backward_delta(dy, kers, spec)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBlockwiseError:
@@ -117,6 +194,28 @@ class TestTemporaryMemory:
         tensors, peak = traced_peak(
             lambda: random_phase_tensors(np.random.default_rng(0), layer, prev, Phase.KU))
         assert peak <= sum(t.nbytes for t in tensors.values()) + MiB // 2
+
+    def test_ku_draw_keeps_no_kernels(self, alexnet):
+        tensors = random_phase_tensors(np.random.default_rng(0), alexnet.layers[2],
+                                       alexnet.layers[1], Phase.KU)
+        assert list(tensors) == ["x", "delta"]
+
+    def test_layer2_dp_reference_has_no_window_matrix(self, alexnet):
+        layer, prev = alexnet.layers[1], alexnet.layers[0]
+        tensors = random_phase_tensors(np.random.default_rng(0), layer, prev, Phase.DP)
+        out, peak = traced_peak(lambda: reference_phase_result(layer, prev, tensors, Phase.DP))
+        assert peak <= sum(t.nbytes for t in tensors.values()) + out.nbytes + MiB
+
+    @pytest.mark.parametrize("phase", [Phase.FP, Phase.DP])
+    def test_checked_layer3_holds_one_kernel_bank(self, alexnet, paper_hw, phase):
+        layer, prev = alexnet.layers[2], alexnet.layers[1]
+        tensors = random_phase_tensors(np.random.default_rng(0), layer, prev, phase)
+        drawn, bank = sum(t.nbytes for t in tensors.values()), tensors["kers"].nbytes
+        del tensors
+        _, peak = traced_peak(lambda: simulate_layer(
+            alexnet, 2, phase, StrategySet.parse("all"), paper_hw, seed=0,
+            check_reference=True))
+        assert peak <= drawn + bank + MiB
 
     def test_error_check_on_ku_gradient_views(self):
         a, b = ku_gradients(3)

@@ -88,7 +88,7 @@ def layer_rows() -> list[dict]:
                                                   prev_layer, phase)
 
             def simulate(x):
-                run_super_layer(x, tensors["kers"], layer, hw, strategies, phase,
+                run_super_layer(x, tensors.get("kers"), layer, hw, strategies, phase,
                                 delta=tensors.get("delta"), prev_layer=prev_layer,
                                 prev_pre_act=tensors.get("prev_pre_act"), groups=net.groups[index])
 
