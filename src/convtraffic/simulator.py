@@ -21,10 +21,15 @@ change, not a speed-up. KU updates the store in row blocks sized to stay in
 L2, taking the chunk's positions in order within each block; every store
 element belongs to one block, so it still adds its products in position
 order. A small block forms all its products in one elementwise multiply and
-adds them with a scan; a large one adds one K = 1 BLAS product per position.
-Each element is one rounded multiply either way and no sum is formed, so
-only a zero product's sign can differ, and the kernel store, which starts at
-+0.0, absorbs it (adding a zero of either sign never leaves -0.0 there).
+adds them with a scan. A large one adds each position's product into the
+store with one K = 1 GEMM call of numpy's own BLAS (alpha = beta = 1, no
+product buffer): its accumulator holds the rounded product, which beta = 1
+adds to the store with one more rounding. A one-time probe checks that the
+routine does not fuse the two; where it does, or is missing, a K = 1 np.dot
+into a buffer and an in-place add do the same. Each product is one rounded
+multiply on every route and no sum is formed, so only a zero product's sign
+can differ, and the kernel store, which starts at +0.0, absorbs it (adding a
+zero of either sign never leaves -0.0 there).
 The pooling engine works on whole maps, the pooling-transpose gather on
 blocks of elements that lie in the same windows relative to their position;
 both add each element's taps in place, in the order a per-window np.sum does.
@@ -36,6 +41,8 @@ while the one-time kernel preload is charged once per run, as in the model.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import math
 from collections import Counter
@@ -59,7 +66,9 @@ from .traffic import (
 
 # Kernel update adds every position's product into the kernel store one row
 # block at a time: a block of max(1, KU_BLOCK_BYTES // (8 * m)) float32 rows
-# plus its product buffer takes at most 1 MiB, half of a core's 2 MiB L2.
+# takes at most half a MiB. The BLAS route adds into the block directly; with
+# the product buffer of the numpy pair it falls back to, the two take at most
+# 1 MiB, half of a core's 2 MiB L2.
 # At AlexNet layer 3 the whole (2304, 384) store and its buffer take 7 MB, so
 # each position streamed both through the shared L3; in 7 blocks, that layer's
 # kernel update fell from 193 to 108 ms per checked pass (median of 3 traced
@@ -202,7 +211,9 @@ def _add_products(store: np.ndarray, taps: np.ndarray, deltas: np.ndarray,
     block whose stack of the store and its products fits in CHUNK_BYTES forms
     the products in one multiply and adds them with a scan, in position order
     (np.add.reduce would sum pairwise where the reduced axis is the inner
-    loop); a larger block adds one K = 1 BLAS product per position."""
+    loop). A larger block adds each position's product into the store in one
+    K = 1 BLAS call with no product buffer (_gemm_add), or, where numpy's BLAS
+    fails the probe, forms it with a K = 1 np.dot and adds it."""
     for top in range(0, len(store), block_rows):
         store_block = store[top : top + block_rows]
         block_taps = taps[:, top : top + block_rows, None]
@@ -212,11 +223,69 @@ def _add_products(store: np.ndarray, taps: np.ndarray, deltas: np.ndarray,
             np.multiply(block_taps, deltas[:, None, :], out=stack[1:])
             np.add.accumulate(stack, axis=0, out=stack)
             store_block[...] = stack[-1]
+        elif (sgemm := _blas_sgemm()) is not None:
+            _gemm_add(sgemm, store, taps, deltas, top, block_rows)
         else:
             product = np.empty_like(store_block)
             for tap, d in zip(block_taps, deltas[:, None, :]):
                 np.dot(tap, d, out=product)
                 store_block += product
+
+
+def _gemm_add(sgemm, store: np.ndarray, taps: np.ndarray, deltas: np.ndarray,
+              top: int, block_rows: int) -> None:
+    """Add taps[p, top : top+block_rows] x deltas[p] into the same rows of the
+    (rows, m) store for each position p in order: per position one row-major
+    cblas_sgemm with M = block rows, N = m, K = 1 and alpha = beta = 1, C being
+    the store block. Its accumulator holds the rounded product and beta = 1
+    adds that to C with one more rounding, as np.dot and += do, provided the
+    routine passed _blas_sgemm's probe. The pointers are plain offsets into
+    the arrays, so those must be C-contiguous float32 of matching shapes."""
+    for a in (store, taps, deltas):
+        if a.dtype != np.float32 or not a.flags.c_contiguous:
+            raise ValueError("the BLAS kernel update reads C-contiguous float32 arrays only")
+    if taps.shape != (len(deltas), len(store)) or deltas.shape[1:] != store.shape[1:]:
+        raise ShapeError(f"products {taps.shape} x {deltas.shape} do not match the kernel "
+                         f"store {store.shape}")
+    rows, m = store.shape
+    order, no_trans = ctypes.c_int(101), ctypes.c_int(111)  # CblasRowMajor, CblasNoTrans
+    gemm_m = ctypes.c_int64(len(store[top : top + block_rows]))  # the rows the block has
+    gemm_n, gemm_k, one = ctypes.c_int64(m), ctypes.c_int64(1), ctypes.c_float(1.0)
+    c = ctypes.c_void_p(store.ctypes.data + 4 * m * top)
+    a0, b0 = taps.ctypes.data + 4 * top, deltas.ctypes.data
+    for a, b in zip(range(a0, a0 + 4 * rows * len(taps), 4 * rows),
+                    range(b0, b0 + 4 * m * len(deltas), 4 * m)):
+        # A: the position's taps, (block rows, 1), lda = 1; B: its deltas,
+        # (1, m), ldb = m; C: the store block, ldc = m
+        sgemm(order, no_trans, no_trans, gemm_m, gemm_n, gemm_k, one, ctypes.c_void_p(a),
+              gemm_k, ctypes.c_void_p(b), gemm_n, one, c, gemm_n)
+
+
+@functools.cache
+def _blas_sgemm(symbol: str = "scipy_cblas_sgemm64_"):
+    """numpy's own BLAS cblas_sgemm (ILP64 OpenBLAS, so 64-bit integer
+    arguments), looked up once; None when the symbol is missing or the
+    routine fails the probe. The probe adds (1 + 2**-12)**2 into a 64 x 64
+    store of -1: rounding the product first leaves 2**-11 exactly, a fused
+    multiply-add 2**-11 + 2**-24."""
+    try:
+        sgemm = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), symbol)
+    except (AttributeError, OSError):
+        return None
+    # _gemm_add passes every argument as a ctypes object of its C type;
+    # declared argtypes would convert them again on each call (7.4 -> 8.2 us
+    # per AlexNet layer 1 call, 1 BLAS thread)
+    sgemm.argtypes = None
+    sgemm.restype = None
+    return _probed(sgemm)
+
+
+def _probed(sgemm):
+    """sgemm when its K = 1 update rounds the product before adding it, else None."""
+    store = np.full((64, 64), -1.0, dtype=np.float32)
+    taps = np.full((1, 64), 1 + 2.0**-12, dtype=np.float32)
+    _gemm_add(sgemm, store, taps, taps, 0, 64)
+    return sgemm if np.all(store == np.float32(2.0**-11)) else None
 
 
 def _conv_sweep(

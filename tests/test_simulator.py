@@ -1,3 +1,4 @@
+import ctypes
 import math
 from dataclasses import replace
 
@@ -533,6 +534,45 @@ def _chunk_positions(budget, sweeps):
     return [h * w for h, w in sweeps]
 
 
+def _stand_in_sgemm(fused):
+    """A Python stand-in for cblas_sgemm's row-major K = 1 update with
+    alpha = beta = 1, reading the same ctypes arguments. Unfused, it rounds
+    each product to float32 before adding it; fused, it adds the exact
+    (float64) product to the store and rounds once."""
+
+    def floats(ptr, shape):
+        return np.ctypeslib.as_array(ctypes.cast(ptr, ctypes.POINTER(ctypes.c_float)), shape)
+
+    def sgemm(order, trans_a, trans_b, rows, m, k, alpha, a, lda, b, ldb, beta, c, ldc):
+        rows, m = rows.value, m.value
+        store = floats(c, (rows, ldc.value))[:, :m]
+        tap, delta = floats(a, (rows,)), floats(b, (m,))
+        if fused:
+            store[...] = store + np.outer(tap.astype(np.float64), delta)
+        else:
+            store += np.outer(tap, delta)
+
+    return sgemm
+
+
+# Two positions over a 64 x 64 kernel store: the first product leaves -1 in
+# every element, the second adds (1 + 2**-12)**2, which rounds to 1 + 2**-11,
+# so the store ends at 2**-11; a fused multiply-add ends at 2**-11 + 2**-24.
+_FUSED_SENSITIVE = SuperLayerSpec(ConvSpec(64, 64, 1), 1, 2, True, None)
+
+
+def _fused_sensitive_ku(paper_hw):
+    """The two-position kernel update; returns (simulated, oracle) gradients."""
+    near_one = np.float32(1 + 2.0**-12)
+    x = np.empty((64, 1, 2), dtype=np.float32)
+    x[:, 0] = [1.0, near_one]
+    delta = np.empty((64, 1, 2), dtype=np.float32)
+    delta[:, 0] = [-1.0, near_one]
+    r = run_super_layer(x, None, _FUSED_SENSITIVE, paper_hw, StrategySet.all_on(), Phase.KU,
+                        delta=delta)
+    return r.grad, _oracle_ku(x, delta, _FUSED_SENSITIVE.conv)
+
+
 class TestScheduleOrder:
     """The datapath is bit-identical to the per-position, per-wave schedule.
 
@@ -644,6 +684,63 @@ class TestScheduleOrder:
     def test_ku_zero_signs_in_small_store_blocks(self, paper_hw, prefix, monkeypatch):
         _small_store_blocks(monkeypatch, ConvSpec(3, 4, 3, pad=1))
         self.test_ku_zero_signs_and_subnormal_products(paper_hw, prefix)
+
+    @pytest.fixture(params=["blas", "numpy-pair"])
+    def loop_route(self, request, monkeypatch):
+        """Every store block on the per-position loop (one-row chunks), run
+        on numpy's BLAS or on the numpy pair (np.dot, then +=), the route
+        taken where the BLAS is missing or fails the probe."""
+        monkeypatch.setattr(simulator, "CHUNK_BYTES", 1)
+        if request.param == "numpy-pair":
+            monkeypatch.setattr(simulator, "_blas_sgemm", lambda: None)
+        elif simulator._blas_sgemm() is None:
+            pytest.skip("numpy's BLAS has no sgemm that passes the probe")
+
+    @pytest.mark.parametrize("case", _KU_CASES, ids=lambda c: c[0])
+    @pytest.mark.parametrize("prefix", range(6))
+    def test_ku_loop_in_small_store_blocks(self, paper_hw, case, prefix, monkeypatch, loop_route):
+        self.test_ku_in_small_store_blocks(paper_hw, case, prefix, monkeypatch)
+
+    @pytest.mark.parametrize("prefix", range(6))
+    def test_ku_loop_zero_signs(self, paper_hw, prefix, monkeypatch, loop_route):
+        self.test_ku_zero_signs_in_small_store_blocks(paper_hw, prefix, monkeypatch)
+
+    def test_ku_loop_rounds_each_product(self, paper_hw, loop_route):
+        grad, want = _fused_sensitive_ku(paper_hw)
+        assert _same_bits(grad, want)
+        assert np.all(want == np.float32(2.0**-11))
+
+    def test_fused_routine_breaks_the_schedule(self, paper_hw, monkeypatch):
+        # the mutation the probe guards against: a routine that fuses the
+        # multiply and the add moves the gradient off the schedule's bits
+        monkeypatch.setattr(simulator, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(simulator, "_blas_sgemm", lambda: _stand_in_sgemm(fused=True))
+        grad, want = _fused_sensitive_ku(paper_hw)
+        assert np.all(grad == np.float32(2.0**-11 + 2.0**-24))
+        assert not _same_bits(grad, want)
+
+    def test_probe_leaves_fused_or_missing_routines_to_numpy(self, paper_hw, monkeypatch):
+        fused, unfused = _stand_in_sgemm(fused=True), _stand_in_sgemm(fused=False)
+        assert simulator._probed(fused) is None
+        assert simulator._probed(unfused) is unfused
+        assert simulator._blas_sgemm("no_such_sgemm") is None
+        monkeypatch.setattr(simulator, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(simulator, "_blas_sgemm", lambda: simulator._probed(fused))
+        grad, want = _fused_sensitive_ku(paper_hw)
+        assert _same_bits(grad, want)
+
+    def test_blas_route_rejects_views_it_cannot_address(self, monkeypatch):
+        monkeypatch.setattr(simulator, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(simulator, "_blas_sgemm", lambda: _stand_in_sgemm(fused=False))
+        store = np.zeros((4, 3), dtype=np.float32)
+        taps, deltas = np.ones((2, 8), dtype=np.float32), np.ones((2, 3), dtype=np.float32)
+        with pytest.raises(ValueError, match="C-contiguous float32"):
+            simulator._add_products(store, taps[:, ::2], deltas, 4)
+        with pytest.raises(ValueError, match="C-contiguous float32"):
+            simulator._add_products(store, taps[:, :4].astype(np.float64), deltas, 4)
+        with pytest.raises(ShapeError, match="do not match the kernel store"):
+            simulator._add_products(store, taps[:, :4].copy(), deltas[:1], 4)
+        assert not store.any()
 
     @pytest.mark.parametrize("p, s", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 3),
                                       (12, 1)])

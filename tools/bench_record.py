@@ -10,7 +10,10 @@ in-process runs of the simulator counting only, the simulator computing, and
 the reference math alone, on seeded tensors drawn as `verify.simulate_layer`
 draws them. Last, the `src/` line count and the run context, whose
 `head_commit` is the checkout's HEAD: the record covers the working tree as
-it is. The AlexNet document and its defined phases come from
+it is, and `src_differs_from_head` says whether `src/` has changes that HEAD
+does not hold (staged, unstaged or untracked; null outside a git checkout),
+so a record written before its commit names the parent and says true. The
+AlexNet document and its defined phases come from
 benchmarks/workloads.py, and the package import and thread settings from
 benchmarks/run.py, both loaded read-only.
 """
@@ -58,6 +61,16 @@ def timed_process(argv: list[str]) -> dict:
         raise SystemExit(f"error: {' '.join(argv)} exited {child.returncode}: "
                          f"{stderr.strip()[-500:]}")
     return record
+
+
+def src_differs_from_head() -> bool | None:
+    """Whether `git status` lists any change under src/; None without git."""
+    try:
+        done = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
+                              capture_output=True, text=True, check=False)
+    except OSError:
+        return None
+    return bool(done.stdout.strip()) if done.returncode == 0 else None
 
 
 def median_seconds(call) -> float:
@@ -117,6 +130,7 @@ def main(argv=None) -> int:
     record = {
         "context": {
             "head_commit": run.git_commit(),
+            "src_differs_from_head": src_differs_from_head(),
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "numpy": np.__version__,
