@@ -51,18 +51,12 @@ from typing import Callable
 
 import numpy as np
 
-from .archmodel import HwConfig, sram_budget
-from .errors import ConfigError, ShapeError
-from .specs import (CHUNK_BYTES, ConvSpec, PoolSpec, SuperLayerSpec, check_kernels, check_maps,
+from .archmodel import BudgetReport, HwConfig, sram_budget
+from .errors import ShapeError
+from .specs import (CHUNK_BYTES, NetworkSpec, PoolSpec, SuperLayerSpec, check_kernels, check_maps,
                     window_view)
-from .traffic import (
-    Phase,
-    StrategySet,
-    TrafficReport,
-    op_count,
-    phase_geometry,
-    used_extent,
-)
+from .traffic import (Phase, StrategySet, TrafficReport, op_count, phase_geometry, phase_layer,
+                      used_extent)
 
 # Kernel update adds every position's product into the kernel store one row
 # block at a time: a block of max(1, KU_BLOCK_BYTES // (8 * m)) float32 rows
@@ -179,6 +173,57 @@ class SimResult:
     write_trace: Counter | None = None
 
 
+@dataclass(frozen=True)
+class PhasePlan:
+    """What every image of one (layer, phase) check reads, derived once, as
+    the paper's level-1 reconfiguration writes a layer's parameters into
+    control registers once. Built by plan_phase.
+
+    kernel_layout is the memory order the kernel bank is drawn in, as
+    (shape, turn, axes): the bank is np.empty(shape)[turn].transpose(axes),
+    indexed (n, m, k, k). It is the order of the operand the engine conv
+    contracts with, (input map, tap, output map), so neither kernel_matrix
+    nor the reference copies the bank: (n, k, k, m) for FP; (m, k, k, n)
+    with the taps rotated for DP, the transposed conv's. An engine conv with
+    one input map keeps C order: the reference's bits follow its kernel
+    operand's strides, and that operand is then a view of the bank in the
+    order it is given. KU has no kernel operand, so it has no layout."""
+
+    layer: SuperLayerSpec
+    prev_layer: SuperLayerSpec | None
+    groups: int
+    phase: Phase
+    hw: HwConfig
+    engine: SuperLayerSpec  # the geometry the engine runs: the transposed conv for DP
+    budget: BudgetReport  # on-chip storage, sized on the engine geometry
+    draws: dict[str, tuple[int, int, int]]  # maps drawn after the kernels, in draw order
+    kernel_layout: tuple | None
+
+
+def plan_phase(net: NetworkSpec, index: int, phase: Phase, hw: HwConfig) -> PhasePlan:
+    """The plan of super layer `index` of net in `phase` on hw. ConfigError
+    when the phase is undefined there, the layer has no transposed conv, or
+    the engine geometry exceeds a budget of hw."""
+    layer = phase_layer(net, index, phase)
+    prev_layer = net.layers[index - 1] if index > 0 else None
+    engine = phase_geometry(layer, phase)
+    n, m, k = layer.conv.n, layer.conv.m, layer.conv.k
+    draws = {"x": (engine.conv.n, engine.input_h, engine.input_w)}
+    if phase is Phase.KU:
+        draws["delta"] = (m, *layer.conv_out_dims())
+        layout = None
+    elif engine.conv.n == 1:
+        layout = ((n, m, k, k), (), (0, 1, 2, 3))
+    elif phase is Phase.FP:
+        layout = ((n, k, k, m), (), (0, 3, 1, 2))
+    else:
+        layout = ((m, k, k, n), np.s_[:, ::-1, ::-1], (3, 0, 1, 2))
+    if phase is Phase.DP and prev_layer.has_act:
+        draws["prev_pre_act"] = (n, *prev_layer.conv_out_dims())
+    return PhasePlan(layer, prev_layer, net.groups[index], phase, hw, engine,
+                     sram_budget(engine, hw), draws, layout)
+
+
 class _Counters:
     def __init__(self, trace: bool):
         self.input_words = 0
@@ -289,18 +334,14 @@ def _probed(sgemm):
 
 
 def _conv_sweep(
+    plan: PhasePlan,
     x: np.ndarray | None,
     kers: np.ndarray | None,
-    conv: ConvSpec,
-    in_h: int,
-    in_w: int,
-    hw: HwConfig,
     strategies: StrategySet,
     counters: _Counters,
-    phase: Phase,
-    delta: np.ndarray | None = None,
+    delta: np.ndarray | None,
 ) -> np.ndarray | None:
-    """Walk the conv-stage schedule row by row, for every phase and strategy set.
+    """Walk the engine's conv-stage schedule row by row, for every phase and strategy set.
 
     Each output row copies its windows into its slot of a contiguous chunk of
     rows, from the line buffer when it is on and straight from the maps when
@@ -310,13 +351,14 @@ def _conv_sweep(
     the kernel store, in position order, and returns the gradient. x None
     counts only.
     """
+    conv, in_h, in_w = plan.engine.conv, plan.engine.input_h, plan.engine.input_w
     n, m, k, s, pad = conv.n, conv.m, conv.k, conv.stride, conv.pad
     ho, wo = conv.out_dims(in_h, in_w)
     used_rows = used_extent(in_h, k, s, pad)
     used_cols = used_extent(in_w, k, s, pad)
     fused = strategies.fused_super_layer
-    kernel_update = phase is Phase.KU
-    trace_tag = "d" if phase is Phase.DP else "x"  # the map streaming through the line buffer
+    kernel_update = plan.phase is Phase.KU
+    trace_tag = "d" if plan.phase is Phase.DP else "x"  # the map streaming through the line buffer
     lb = LineBuffer(n, k, in_w, s, pad=pad) if strategies.line_buffer else None
 
     if x is not None:
@@ -370,11 +412,11 @@ def _conv_sweep(
                     _add_products(store, block.reshape(-1, rows), d_at[r0 : r + 1].reshape(-1, m),
                                   block_rows)
                 else:
-                    acc = accumulate_row(block.reshape(-1, n, k, k), kmat, hw.num_cu)
+                    acc = accumulate_row(block.reshape(-1, n, k, k), kmat, plan.hw.num_cu)
                     y[:, r0 : r + 1] = acc.T.reshape(m, -1, wo)
         counters.input_words += wo * in_per_position
         counters.output_words += wo * out_per_position
-        counters.cycles += wo * m * math.ceil(n / hw.num_cu)
+        counters.cycles += wo * m * math.ceil(n / plan.hw.num_cu)
         if kernel_update and fused and counters.reads is not None:
             counters.reads.update(("d", j, r, c) for c in range(wo) for j in range(m))
     if lb is not None:
@@ -490,51 +532,38 @@ def _pool_transpose_gather(
 
 
 def run_super_layer(
-    x: np.ndarray | None,
-    kers: np.ndarray | None,
-    layer: SuperLayerSpec,
-    hw: HwConfig,
+    plan: PhasePlan,
     strategies: StrategySet,
-    phase: Phase,
+    x: np.ndarray | None,
+    kers: np.ndarray | None = None,
     *,
     delta: np.ndarray | None = None,
-    prev_layer: SuperLayerSpec | None = None,
     prev_pre_act: np.ndarray | None = None,
-    groups: int = 1,
     trace: bool = False,
 ) -> SimResult:
-    """Run one super layer for one image of one group and scale the counters
-    to the full group count.
+    """Run the plan's super layer for one image of one group and scale the
+    counters to the plan's group count.
 
-    Per phase, x is the conv input (FP, KU) or the incoming delta at this
-    layer's conv output grid (DP). FP and DP take the (n, m, k, k) kernels,
-    read in any memory order; KU takes the delta instead and no kernels. DP
-    also takes the previous layer's spec and, when it has an activation
-    stage, its pre-activation maps for the derivative mask. x None counts
-    only.
+    x is the conv input (FP, KU) or the incoming delta at this layer's conv
+    output grid (DP), shaped as plan.draws["x"]. FP and DP take the
+    (n, m, k, k) kernels, read in any memory order; KU takes the delta
+    instead and no kernels. DP also takes, when the previous layer has an
+    activation stage, its pre-activation maps for the derivative mask. x
+    None counts only.
     """
+    layer, phase, groups = plan.layer, plan.phase, plan.groups
     conv = layer.conv
     fused = strategies.fused_super_layer
     counters = _Counters(trace)
-    ho, wo = layer.conv_out_dims()
-    if phase is Phase.DP and prev_layer is None:
-        raise ConfigError("delta propagation needs the previous super layer")
-    geometry = phase_geometry(layer, phase)  # what the engine runs, and is sized for
-    budget = sram_budget(geometry, hw)
-
     if x is not None:
-        check_maps(x, geometry.conv.n, geometry.input_h, geometry.input_w,
-                   "delta" if phase is Phase.DP else "input")
+        check_maps(x, *plan.draws["x"], "delta" if phase is Phase.DP else "input")
         if phase is Phase.KU:
-            check_maps(delta, conv.m, ho, wo, "delta")
+            check_maps(delta, *plan.draws["delta"], "delta")
         else:
             check_kernels(kers, conv)
         if phase is Phase.DP:
             kers = kers[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    swept = _conv_sweep(
-        x, kers, geometry.conv, geometry.input_h, geometry.input_w, hw, strategies, counters,
-        phase, delta,
-    )
+    swept = _conv_sweep(plan, x, kers, strategies, counters, delta)
 
     outputs = pre_act = grad = None
     if phase is Phase.FP:
@@ -544,13 +573,14 @@ def run_super_layer(
         if fused:
             _stream_out(counters, conv.m, *layer.out_dims())
     elif phase is Phase.DP:
+        prev_layer = plan.prev_layer
         prev_h, prev_w = prev_layer.conv_out_dims()
         if x is not None:
             outputs = swept
             if prev_layer.pool is not None:
                 outputs = _pool_transpose_gather(outputs, prev_layer.pool, prev_h, prev_w)
             if prev_layer.has_act:
-                check_maps(prev_pre_act, conv.n, prev_h, prev_w, "previous pre-activation")
+                check_maps(prev_pre_act, *plan.draws["prev_pre_act"], "previous pre-activation")
                 # mask operand stays on chip, it is not charged as traffic
                 outputs = outputs * (prev_pre_act > 0).astype(np.float32)
         if fused:
@@ -558,7 +588,7 @@ def run_super_layer(
     else:
         grad = swept  # gradients accumulate in the kernel store and never stream out
 
-    word = hw.word_bytes
+    word = plan.hw.word_bytes
     conv_ops, act_ops, pool_ops = op_count(layer, 1, groups, phase)
     traffic = TrafficReport(
         input_bytes=counters.input_words * word * groups,
@@ -574,8 +604,8 @@ def run_super_layer(
         grad=grad,
         traffic=traffic,
         cycles=counters.cycles * groups,
-        sram_bytes=budget.kernel_sram_bytes + budget.line_buffer_bytes,
-        register_bits=budget.window_register_bits + budget.accumulator_bits,
+        sram_bytes=plan.budget.kernel_sram_bytes + plan.budget.line_buffer_bytes,
+        register_bits=plan.budget.window_register_bits + plan.budget.accumulator_bits,
         read_trace=counters.reads,
         write_trace=counters.writes,
     )

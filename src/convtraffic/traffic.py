@@ -254,6 +254,14 @@ def phase_layers(net: NetworkSpec, phase: Phase) -> range:
     return range(1 if phase is Phase.DP else 0, len(net.layers))
 
 
+def phase_layer(net: NetworkSpec, index: int, phase: Phase) -> SuperLayerSpec:
+    """Super layer `index` of net, on which the phase must be defined."""
+    layer = net.layers[index]
+    if index not in phase_layers(net, phase):
+        raise ConfigError("delta propagation is undefined for the first super layer")
+    return layer
+
+
 def super_traffic(
     index: int,
     net: NetworkSpec,
@@ -263,9 +271,7 @@ def super_traffic(
 ) -> TrafficReport:
     """Traffic of one super layer for the given phase: the conv-stage count
     on the phase's geometry, with fusion's three overrides (module notes)."""
-    layer = net.layers[index]
-    if index not in phase_layers(net, phase):
-        raise ConfigError("delta propagation is undefined for the first super layer")
+    layer = phase_layer(net, index, phase)
     batch, groups = net.batch, net.groups[index]
     report = conv_traffic(layer, strategies, batch, word_bytes, groups, phase)
     if not strategies.fused_super_layer:

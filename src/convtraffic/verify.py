@@ -10,9 +10,9 @@ import numpy as np
 from .archmodel import HwConfig
 from .errors import ConfigError
 from .reference import kernel_gradient, super_backward_delta, super_forward
-from .simulator import SimResult, run_super_layer
-from .specs import CHUNK_BYTES, NetworkSpec, SuperLayerSpec
-from .traffic import Phase, StrategySet, TrafficReport, phase_geometry, super_traffic
+from .simulator import PhasePlan, SimResult, plan_phase, run_super_layer
+from .specs import CHUNK_BYTES, NetworkSpec
+from .traffic import Phase, StrategySet, TrafficReport, super_traffic
 
 
 # Float64 values per block of a draw or an error check, so a large tensor
@@ -60,66 +60,34 @@ def _skip(rng: np.random.Generator, count: int) -> None:
         rng.standard_normal(min(CHUNK_VALUES, count - start))
 
 
-def random_phase_tensors(
-    rng: np.random.Generator,
-    layer: SuperLayerSpec,
-    prev_layer: SuperLayerSpec | None,
-    phase: Phase,
-) -> dict:
-    """Seeded single-group tensors for one standalone layer run, drawn in
-    this order: kernels (n, m, k, k), the conv input x in the phase's
-    geometry, then DP's previous pre-activation or KU's delta.
-
-    The kernels are drawn straight into the memory order of the operand the
-    phase's conv contracts with, (input map, tap, output map), so neither
-    the simulator's kernel_matrix nor the reference copies them: FP's is
-    (n, k, k, m); DP's is (m, k, k, n) with the taps rotated, the transposed
-    conv's. A conv with one input map keeps the (n, m, k, k) draw order: the
-    reference's bits follow the kernel operand's strides, and that operand
-    is a view of the bank in the order it is given. KU has no kernel
-    operand: the generator moves past the kernel values and none is kept."""
-    conv = layer.conv
-    geom = phase_geometry(layer, phase)
-    n, m, k = conv.n, conv.m, conv.k
-
+def random_phase_tensors(rng: np.random.Generator, plan: PhasePlan) -> dict:
+    """Seeded single-group tensors for one image of the plan's layer and
+    phase, drawn in this order: kernels (n, m, k, k), straight into
+    plan.kernel_layout, then each of plan.draws: the conv input x in the
+    engine geometry, then DP's previous pre-activation or KU's delta. KU has
+    no kernel operand: the generator moves past the kernel values and none
+    is kept."""
     tensors = {}
-    if phase is Phase.KU:
-        _skip(rng, n * m * k * k)
-    elif geom.conv.n == 1:
-        tensors["kers"] = _draw(rng, np.empty((n, m, k, k), np.float32))
-    elif phase is Phase.FP:
-        tensors["kers"] = _draw(rng, np.empty((n, k, k, m), np.float32).transpose(0, 3, 1, 2))
+    if plan.kernel_layout is None:
+        conv = plan.layer.conv
+        _skip(rng, conv.n * conv.m * conv.k * conv.k)
     else:
-        bank = np.empty((m, k, k, n), np.float32)[:, ::-1, ::-1]
-        tensors["kers"] = _draw(rng, bank.transpose(3, 0, 1, 2))
-    tensors["x"] = _draw(rng, np.empty((geom.conv.n, geom.input_h, geom.input_w), np.float32))
-    if phase is Phase.DP and prev_layer is not None and prev_layer.has_act:
-        tensors["prev_pre_act"] = _draw(
-            rng, np.empty((n, *prev_layer.conv_out_dims()), np.float32))
-    elif phase is Phase.KU:
-        tensors["delta"] = _draw(rng, np.empty((m, *layer.conv_out_dims()), np.float32))
+        shape, turn, axes = plan.kernel_layout
+        tensors["kers"] = _draw(rng, np.empty(shape, np.float32)[turn].transpose(axes))
+    for name, shape in plan.draws.items():
+        tensors[name] = _draw(rng, np.empty(shape, np.float32))
     return tensors
 
 
-def reference_phase_result(
-    layer: SuperLayerSpec,
-    prev_layer: SuperLayerSpec | None,
-    tensors: dict,
-    phase: Phase,
-) -> np.ndarray:
+def reference_phase_result(plan: PhasePlan, tensors: dict) -> np.ndarray:
     """What the reference math produces for the same tensors."""
-    if phase is Phase.FP:
-        out, _ = super_forward(tensors["x"], tensors["kers"], layer)
+    if plan.phase is Phase.FP:
+        out, _ = super_forward(tensors["x"], tensors["kers"], plan.layer)
         return out
-    if phase is Phase.DP:
-        return super_backward_delta(
-            tensors["x"],
-            tensors["kers"],
-            layer.conv,
-            prev_layer,
-            tensors.get("prev_pre_act"),
-        )
-    return kernel_gradient(tensors["x"], tensors["delta"], layer.conv)
+    if plan.phase is Phase.DP:
+        return super_backward_delta(tensors["x"], tensors["kers"], plan.layer.conv,
+                                    plan.prev_layer, tensors.get("prev_pre_act"))
+    return kernel_gradient(tensors["x"], tensors["delta"], plan.layer.conv)
 
 
 @dataclass
@@ -153,14 +121,12 @@ def simulate_layer(
     Streamed bytes and cycles add up over the images; the kernel preload is
     charged once per run, since the store keeps the kernels across images.
     """
-    layer = net.layers[index]
-    groups = net.groups[index]
-    prev_layer = net.layers[index - 1] if index > 0 else None
     rng = np.random.default_rng(seed)
-    # the model first: it rejects a batch below 1, or a phase the layer does
-    # not have, before anything is drawn; replace re-runs NetworkSpec's
-    # checks, so it runs only for a batch other than the net's
+    # a batch below 1, a phase the layer does not have and a layer over hw's
+    # budgets are rejected before anything is drawn; replace re-runs
+    # NetworkSpec's checks, so it runs only for a batch other than the net's
     batch_net = net if batch == net.batch else replace(net, batch=batch)
+    plan = plan_phase(net, index, phase, hw)
     model = super_traffic(index, batch_net, phase, strategies, hw.word_bytes)
 
     sim_traffic = None
@@ -169,24 +135,20 @@ def simulate_layer(
     for _ in range(batch):
         # drop the previous image's arrays before this image draws
         tensors = result = expected = got = None
-        tensors = random_phase_tensors(rng, layer, prev_layer, phase)
+        tensors = random_phase_tensors(rng, plan)
         result = run_super_layer(
+            plan,
+            strategies,
             tensors["x"] if compute else None,
             tensors.get("kers"),
-            layer,
-            hw,
-            strategies,
-            phase,
             delta=tensors.get("delta"),
-            prev_layer=prev_layer,
             prev_pre_act=tensors.get("prev_pre_act"),
-            groups=groups,
             trace=trace,
         )
         sim_traffic = result.traffic if sim_traffic is None else sim_traffic + result.traffic
         cycles += result.cycles
         if check_reference and compute:
-            expected = reference_phase_result(layer, prev_layer, tensors, phase)
+            expected = reference_phase_result(plan, tensors)
             got = result.grad if phase is Phase.KU else result.outputs
             err = max_relative_error(got, expected)
             # max() would drop a NaN met after a number; keep it instead

@@ -1,7 +1,12 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from convtraffic import presets
+from convtraffic.simulator import plan_phase
 from convtraffic.specs import ConvSpec, NetworkSpec, PoolSpec, SuperLayerSpec
 
 
@@ -13,6 +18,25 @@ def alexnet():
 @pytest.fixture(scope="session")
 def paper_hw():
     return presets.paper_hw()
+
+
+@pytest.fixture(scope="session")
+def bench_workloads():
+    """benchmarks/workloads.py, loaded read-only under a module name of its own."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
+
+
+def layer_plan(layer, phase, hw, prev=None, groups=1):
+    """plan_phase for one standalone layer, after prev when given."""
+    layers = (layer,) if prev is None else (prev, layer)
+    net = NetworkSpec("plan", 1, layers, (groups,) * len(layers))
+    return plan_phase(net, len(layers) - 1, phase, hw)
 
 
 def brute_conv(x, ker, spec):

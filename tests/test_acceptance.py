@@ -27,7 +27,7 @@ from convtraffic.reference import (
     pool_backward,
     pool_forward,
 )
-from convtraffic.simulator import run_super_layer
+from convtraffic.simulator import plan_phase, run_super_layer
 from convtraffic.specs import ConvSpec, PoolSpec, SuperLayerSpec
 from convtraffic.traffic import (
     Phase,
@@ -40,7 +40,7 @@ from convtraffic.traffic import (
 )
 from convtraffic.verify import simulate_layer
 
-from conftest import random_toy_cases
+from conftest import layer_plan, random_toy_cases
 
 WORD = 4
 
@@ -317,7 +317,8 @@ def test_criterion_10_property_suite(alexnet, paper_hw):
     layer = SuperLayerSpec(ConvSpec(2, 3, 3, stride=1, pad=1), 6, 6, True, PoolSpec(2, 2))
     x = rng.standard_normal((2, 6, 6)).astype(np.float32)
     kers = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
-    run = run_super_layer(x, kers, layer, paper_hw, StrategySet.all_on(), Phase.FP, trace=True)
+    run = run_super_layer(layer_plan(layer, Phase.FP, paper_hw), StrategySet.all_on(), x, kers,
+                          trace=True)
     reads = {key: count for key, count in run.read_trace.items() if key[0] == "x"}
     expected_reads = {("x", i, y, c) for i in range(2) for y in range(6) for c in range(6)}
     hist_ok = set(reads) == expected_reads and set(reads.values()) == {1}
@@ -330,8 +331,7 @@ def test_criterion_10_property_suite(alexnet, paper_hw):
     per_position = layer2.conv.m * math.ceil(layer2.conv.n / paper_hw.num_cu)
     cycles_ok = per_position == 384
     cycles_ok &= cycle_count(layer2, paper_hw, 1) == 27 * 27 * 384
-    sim = run_super_layer(None, None, layer2, paper_hw, StrategySet.all_on(), Phase.FP,
-                          groups=2)
+    sim = run_super_layer(plan_phase(alexnet, 1, Phase.FP, paper_hw), StrategySet.all_on(), None)
     cycles_ok &= sim.cycles == 2 * 27 * 27 * 384
 
     ok = adjoint_ok and grad_ok and monotone_ok and hist_ok and cycles_ok

@@ -1,14 +1,15 @@
+import contextlib
 import copy
 import csv
-import importlib.util
 import io
 import json
-import sys
+import random
 from dataclasses import asdict, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from convtraffic import cli, presets, verify
 from convtraffic.cli import load_hw, load_network, main
@@ -17,15 +18,9 @@ from convtraffic.traffic import Phase, StrategySet
 
 
 @pytest.fixture
-def alexnet_doc(monkeypatch) -> dict:
-    """The AlexNet network file that benchmarks/workloads.py states, from a
-    fresh read-only load of that module."""
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
-    spec.loader.exec_module(module)
-    return module.ALEXNET
+def alexnet_doc(bench_workloads) -> dict:
+    """A copy of the AlexNet network file that benchmarks/workloads.py states."""
+    return copy.deepcopy(bench_workloads.ALEXNET)
 
 
 TOY2 = {
@@ -539,3 +534,137 @@ class TestDeterminism:
                          "--out", str(target)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[0].startswith("layer,")
+
+
+# A mutation of a JSON document: (path, op, value). Every step of the path
+# but the last must name an entry, an int picking a list entry by position;
+# otherwise the mutation does nothing. "set" writes value at the last step (a
+# new key where the object has none), "del" removes that entry, "root"
+# replaces the whole document.
+_LAYER = st.tuples(st.just("layers"), st.integers(0, 5))
+_NET_PATHS = st.one_of(
+    st.tuples(_LAYER, st.sampled_from(["n", "m", "k", "stride", "pad", "extra"])).map(
+        lambda p: (*p[0], "conv", p[1])),
+    st.tuples(_LAYER, st.sampled_from(["conv", "input_h", "input_w", "act", "pool", "groups",
+                                       "extra"])).map(lambda p: (*p[0], p[1])),
+    st.tuples(_LAYER, st.sampled_from(["p", "stride", "extra"])).map(
+        lambda p: (*p[0], "pool", p[1])),
+    st.sampled_from(["name", "batch", "layers", "extra"]).map(lambda key: (key,)),
+    _LAYER,
+)
+_HW_DOC = asdict(presets.paper_hw())
+_HW_PATHS = st.sampled_from([*_HW_DOC, "extra"]).map(lambda key: (key,))
+_VALUES = st.one_of(
+    st.integers(-1, 12),
+    st.integers(13, 300),
+    st.sampled_from([0.5, 3.0, float("nan"), float("inf"), True, False, None, "3", "", [], {},
+                     [1], {"p": 2}, {"p": 2, "stride": 2}]),
+)
+
+
+def _mutations(paths, sizes):
+    return st.lists(st.tuples(paths, st.sampled_from(["set"] * 10 + ["del", "root"]), _VALUES),
+                    min_size=sizes[0], max_size=sizes[1])
+
+
+def _mutated(doc, mutations):
+    doc = copy.deepcopy(doc)
+    for path, op, value in mutations:
+        value = copy.deepcopy(value)  # sampled values are shared objects
+        if op == "root":
+            doc = value
+            continue
+        node = doc
+        for step in path[:-1]:
+            if isinstance(node, list) and node and isinstance(step, int):
+                node = node[step % len(node)]
+            elif isinstance(node, dict) and step in node:
+                node = node[step]
+            else:
+                break
+        else:
+            if not isinstance(node, dict):
+                continue
+            if op == "set":
+                node[path[-1]] = value
+            else:
+                node.pop(path[-1], None)
+    return doc
+
+
+def _argv(command, *named):
+    """command with each (flag, valid values, invalid values) left out or
+    given a valid value, then, in about one case in three, one invalid value
+    or a flag the command does not read, which argparse takes over the
+    earlier one."""
+    bad = [(flag, v) for flag, _, invalid in named for v in invalid] + [("--bogus", "1")]
+    flags = [st.sampled_from([()] + [(flag, v) for v in valid]) for flag, valid, _ in named]
+    return st.tuples(*flags, st.sampled_from([()] * (2 * len(bad)) + bad)).map(
+        lambda chosen: [command, *(t for flag in chosen for t in flag if t is not None)])
+
+
+_GARBAGE = ["x", "", "-1", "1.5", "nan"]
+_MODEL = (("--phase", ["fp", "dp", "ku"], ["xx"]),
+          ("--strategies", ["none", "all", "1-3", "2,4", "1-4"], ["5", "3-1", "1-", ",", "x"]),
+          ("--batch", ["1", "2", "3"], ["0", *_GARBAGE]),
+          ("--format", ["table", "csv", "json"], ["xml"]))
+_SEED = ("--seed", ["0", "7"], _GARBAGE)
+_ARGV = st.one_of(
+    _argv("simulate", *_MODEL, _SEED, ("--layer", ["1", "2", "3"], ["0", "6", *_GARBAGE]),
+          ("--check-against-model", [None], []), ("--check-against-reference", [None], [])),
+    _argv("analyze", *_MODEL),
+    _argv("roofline", *_MODEL, ("--dram", ["19.2", "1,2", "0"], [",", "1e400", "-3", "inf", "x"])),
+    _argv("gradcheck", _SEED, ("--epsilon", ["1e-3", "1e-2"], ["0", "-1", "inf", *_GARBAGE]),
+          ("--format", ["table", "json"], [])),
+)
+
+
+class TestFrontDoorFuzz:
+    """Any network document, hardware document or flag string gives exit 0,
+    1 or 2, and an invalid one exits 2 with exactly one `error:` line. The
+    documents are mutations of the TOY2 literal, the AlexNet document of
+    benchmarks/workloads.py and random_net output."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @example(source="toy2", net_seed=0, mutations=[(("name",), "set", {"x": [1, 2]})],
+             hw_mutations=[], argv=["analyze"])
+    @example(source="toy2", net_seed=0, mutations=[(("layers", 0, "conv", "n"), "set", 12),
+                                                   (("layers", 0, "input_h"), "set", 300)],
+             hw_mutations=[], argv=["gradcheck"])
+    @example(source="alexnet", net_seed=0, mutations=[], hw_mutations=[(("max_k",), "set", 5)],
+             argv=["simulate", "--phase", "dp", "--layer", "1"])
+    @given(source=st.sampled_from(["toy2", "alexnet", "random"]), net_seed=st.integers(0, 47),
+           mutations=_mutations(_NET_PATHS, (1, 3)),
+           hw_mutations=_mutations(_HW_PATHS, (0, 1)), argv=_ARGV)
+    def test_exit_code_and_error_line(self, bench_workloads, tmp_path_factory, source, net_seed,
+                                      mutations, hw_mutations, argv):
+        # central differences over an ungrouped random net take seconds
+        assume(argv[0] != "gradcheck" or source != "random")
+        doc = {"toy2": TOY2, "alexnet": bench_workloads.ALEXNET}.get(source)
+        if doc is None:
+            doc = bench_workloads.random_net(random.Random(net_seed), net_seed)
+        folder = tmp_path_factory.mktemp("fuzz")
+        net_path, hw_path = folder / "net.json", folder / "hw.json"
+        net_path.write_text(json.dumps(_mutated(doc, mutations)))
+        hw_path.write_text(json.dumps(_mutated(_HW_DOC, hw_mutations)))
+        if source == "alexnet" and "--check-against-reference" in argv:
+            argv = [a for a in argv if a != "--check-against-reference"]  # seconds per run
+        files = ["--net", str(net_path)] + (["--hw", str(hw_path)] if argv[0] != "gradcheck" else [])
+        out, err = io.StringIO(), io.StringIO()
+        usage = False
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([*argv, *files])
+            except SystemExit as exc:  # argparse's usage errors
+                code, usage = exc.code, True
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            if usage:
+                assert sum("error:" in line for line in lines) == 1
+            else:
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            assert not any(line.startswith("error:") for line in lines)
+            assert all(line.startswith("FAILED: ") for line in lines) and (code == 1) == bool(lines)

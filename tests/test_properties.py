@@ -20,7 +20,7 @@ from convtraffic.reference import (
     pool_backward,
     pool_forward,
 )
-from convtraffic.simulator import run_super_layer
+from convtraffic.simulator import plan_phase, run_super_layer
 from convtraffic.specs import ConvSpec, NetworkSpec, PoolSpec, SuperLayerSpec
 from convtraffic.traffic import Phase, StrategySet, super_traffic, transpose_geometry
 from convtraffic.verify import random_phase_tensors, simulate_layer
@@ -359,17 +359,15 @@ class TestStrategiesAndLayoutsKeepBits:
         net, _ = case
         hw = presets.paper_hw()
         for index, layer in enumerate(net.layers):
-            prev_layer = net.layers[index - 1] if index > 0 else None
             for phase in _defined_phases(index, layer):
-                tensors = random_phase_tensors(np.random.default_rng(index), layer, prev_layer,
-                                               phase)
+                plan = plan_phase(net, index, phase, hw)
+                tensors = random_phase_tensors(np.random.default_rng(index), plan)
                 want = None
                 for layout, strategies in itertools.product(self.LAYOUTS, STRATEGY_SETS):
                     laid_out = {name: self.LAYOUTS[layout](a) for name, a in tensors.items()}
                     # KU draws no kernels
                     kers, x = laid_out.pop("kers", None), laid_out.pop("x")
-                    run = run_super_layer(x, kers, layer, hw, strategies, phase,
-                                          prev_layer=prev_layer, **laid_out)
+                    run = run_super_layer(plan, strategies, x, kers, **laid_out)
                     got = [(a.shape, a.dtype, a.tobytes()) if a is not None else None
                            for a in (run.outputs, run.pre_act, run.grad)]
                     want = want or got

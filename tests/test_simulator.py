@@ -15,6 +15,7 @@ from convtraffic.simulator import (
     _pool_transpose_gather,
     accumulate_row,
     kernel_matrix,
+    plan_phase,
     run_super_layer,
 )
 from convtraffic.specs import (
@@ -28,7 +29,7 @@ from convtraffic.specs import (
 from convtraffic.traffic import Phase, StrategySet, transpose_geometry
 from convtraffic.verify import max_relative_error, simulate_layer
 
-from conftest import random_toy_cases
+from conftest import layer_plan, random_toy_cases
 
 
 def _same_bits(a, b):
@@ -200,8 +201,8 @@ def _toy_net():
      "input-map axis is 1, expected 2"),
     (lambda: check_kernels(np.zeros((2, 1, 3, 3)), ConvSpec(2, 3, 3)), ShapeError,
      "output-map axis is 1, expected 3"),
-    (lambda: run_super_layer(None, None, _toy_layer(), presets.paper_hw(), StrategySet.none(),
-                             Phase.DP), ConfigError, "needs the previous super layer"),
+    (lambda: plan_phase(_toy_net(), 0, Phase.DP, presets.paper_hw()), ConfigError,
+     "undefined for the first super layer"),
     (lambda: max_relative_error(np.zeros((2, 3)), np.zeros((3, 2))), ConfigError,
      "shape mismatch"),
     (lambda: NetworkSpec("x", 1, (_toy_layer(),), (1, 2)), ShapeError,
@@ -218,7 +219,8 @@ class TestRunSuperLayer:
         layer = SuperLayerSpec(ConvSpec(1, 1, 1), 4, 4, has_act=False)
         x = np.arange(16, dtype=np.float32).reshape(1, 4, 4)
         kers = np.ones((1, 1, 1, 1), dtype=np.float32)
-        result = run_super_layer(x, kers, layer, paper_hw, StrategySet.all_on(), Phase.FP)
+        result = run_super_layer(layer_plan(layer, Phase.FP, paper_hw), StrategySet.all_on(),
+                                 x, kers)
         assert np.array_equal(result.outputs, x)
         assert result.traffic.input_bytes == result.traffic.output_bytes == 16 * 4
 
@@ -227,37 +229,32 @@ class TestRunSuperLayer:
         layer = alexnet.layers[1]
         x = rng.standard_normal((48, 27, 27)).astype(np.float32)
         kers = rng.standard_normal((48, 128, 5, 5)).astype(np.float32)
-        result = run_super_layer(x, kers, layer, paper_hw, StrategySet.all_on(), Phase.FP)
+        result = run_super_layer(layer_plan(alexnet.layers[1], Phase.FP, paper_hw),
+                                 StrategySet.all_on(), x, kers)
         assert result.traffic.input_bytes == 48 * 27 * 27 * 4  # 139,968
 
     def test_layer2_cycles_per_output_position(self, alexnet, paper_hw):
-        layer = alexnet.layers[1]
-        result = run_super_layer(None, None, layer, paper_hw, StrategySet.all_on(), Phase.FP)
+        result = run_super_layer(layer_plan(alexnet.layers[1], Phase.FP, paper_hw),
+                                 StrategySet.all_on(), None)
         positions = 27 * 27
         assert result.cycles == positions * 384  # 48*128/16 per position
 
     def test_capacity_errors_name_budget(self, paper_hw):
         too_wide = SuperLayerSpec(ConvSpec(1, 1, 13), 20, 20, has_act=False)
         with pytest.raises(ConfigError, match="window-register"):
-            run_super_layer(None, None, too_wide, paper_hw, StrategySet.none(),
-                            Phase.FP)
+            layer_plan(too_wide, Phase.FP, paper_hw)
         too_many = SuperLayerSpec(ConvSpec(500, 1, 3), 8, 8, has_act=False)
         with pytest.raises(ConfigError, match="index-range"):
-            run_super_layer(None, None, too_many, paper_hw, StrategySet.none(),
-                            Phase.FP)
+            layer_plan(too_many, Phase.FP, paper_hw)
         too_fat = SuperLayerSpec(ConvSpec(1, 500, 3), 8, 8, has_act=False)
         with pytest.raises(ConfigError, match="accumulator"):
-            run_super_layer(None, None, too_fat, paper_hw, StrategySet.none(),
-                            Phase.FP)
+            layer_plan(too_fat, Phase.FP, paper_hw)
 
     def test_dp_requires_stride_one(self, paper_hw):
         layer = SuperLayerSpec(ConvSpec(1, 1, 2, stride=2), 6, 6, has_act=False)
+        prev = SuperLayerSpec(ConvSpec(1, 1, 1), 6, 6)
         with pytest.raises(ConfigError, match="stride 1"):
-            run_super_layer(
-                np.zeros((1, 3, 3), np.float32), np.zeros((1, 1, 2, 2), np.float32),
-                layer, paper_hw, StrategySet.all_on(), Phase.DP,
-                prev_layer=_toy_layer(),
-            )
+            layer_plan(layer, Phase.DP, paper_hw, prev)
 
     def test_strategy_toggles_preserve_outputs(self, paper_hw):
         rng = np.random.default_rng(4)
@@ -266,7 +263,8 @@ class TestRunSuperLayer:
         kers = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
         outs = []
         for prefix in range(6):
-            r = run_super_layer(x, kers, layer, paper_hw, StrategySet.first(prefix), Phase.FP)
+            r = run_super_layer(layer_plan(layer, Phase.FP, paper_hw), StrategySet.first(prefix),
+                                x, kers)
             outs.append(r.outputs)
         for other in outs[1:]:
             assert _same_bits(other, outs[0])
@@ -276,7 +274,7 @@ class TestRunSuperLayer:
         layer = _toy_layer()
         x = rng.standard_normal((2, 6, 6)).astype(np.float32)
         kers = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
-        r = run_super_layer(x, kers, layer, paper_hw, StrategySet.all_on(), Phase.FP,
+        r = run_super_layer(layer_plan(layer, Phase.FP, paper_hw), StrategySet.all_on(), x, kers,
                             trace=True)
         reads = {k: v for k, v in r.read_trace.items() if k[0] == "x"}
         assert set(reads.values()) == {1}
@@ -291,7 +289,7 @@ class TestRunSuperLayer:
         x = rng.standard_normal((2, 6, 6)).astype(np.float32)
         kers = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
         delta = rng.standard_normal((3, 6, 6)).astype(np.float32)
-        r = run_super_layer(x, kers, layer, paper_hw, StrategySet.all_on(), Phase.KU,
+        r = run_super_layer(layer_plan(layer, Phase.KU, paper_hw), StrategySet.all_on(), x, kers,
                             delta=delta, trace=True)
         d_reads = {k: v for k, v in r.read_trace.items() if k[0] == "d"}
         assert set(d_reads.values()) == {1}
@@ -303,7 +301,7 @@ class TestRunSuperLayer:
         layer = _toy_layer()
         x = rng.standard_normal((2, 6, 6)).astype(np.float32)
         kers = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
-        r = run_super_layer(x, kers, layer, paper_hw, StrategySet.all_on(), Phase.FP)
+        r = run_super_layer(layer_plan(layer, Phase.FP, paper_hw), StrategySet.all_on(), x, kers)
         expected, pre = super_forward(x, kers, layer)
         assert max_relative_error(r.outputs, expected) < 1e-5
         assert max_relative_error(r.pre_act, pre) < 1e-5
@@ -381,16 +379,13 @@ class TestSimulatorAgainstModel:
             if index > 0 and layer.conv.stride == 1:
                 phases.append(Phase.DP)
             for phase in phases:
-                r = run_super_layer(
-                    None, None, layer, paper_hw, StrategySet.all_on(), phase,
-                    prev_layer=alexnet.layers[index - 1] if index else None,
-                    groups=alexnet.groups[index],
-                )
+                r = run_super_layer(plan_phase(alexnet, index, phase, paper_hw),
+                                    StrategySet.all_on(), None)
                 geom = transpose_geometry(layer) if phase is Phase.DP else layer
                 budget = sram_budget(geom, paper_hw)
                 assert r.sram_bytes == budget.kernel_sram_bytes + budget.line_buffer_bytes
-        dp2 = run_super_layer(None, None, alexnet.layers[1], paper_hw, StrategySet.all_on(),
-                              Phase.DP, prev_layer=alexnet.layers[0])
+        dp2 = run_super_layer(plan_phase(alexnet, 1, Phase.DP, paper_hw), StrategySet.all_on(),
+                              None)
         assert dp2.sram_bytes == 683_520
 
 
@@ -568,8 +563,8 @@ def _fused_sensitive_ku(paper_hw):
     x[:, 0] = [1.0, near_one]
     delta = np.empty((64, 1, 2), dtype=np.float32)
     delta[:, 0] = [-1.0, near_one]
-    r = run_super_layer(x, None, _FUSED_SENSITIVE, paper_hw, StrategySet.all_on(), Phase.KU,
-                        delta=delta)
+    r = run_super_layer(layer_plan(_FUSED_SENSITIVE, Phase.KU, paper_hw), StrategySet.all_on(),
+                        x, delta=delta)
     return r.grad, _oracle_ku(x, delta, _FUSED_SENSITIVE.conv)
 
 
@@ -588,7 +583,8 @@ class TestScheduleOrder:
         rng = np.random.default_rng(prefix)
         x = rng.standard_normal((conv.n, layer.input_h, layer.input_w)).astype(np.float32)
         kers = rng.standard_normal((conv.n, conv.m, conv.k, conv.k)).astype(np.float32)
-        r = run_super_layer(x, kers, layer, hw, StrategySet.first(prefix), Phase.FP)
+        r = run_super_layer(layer_plan(layer, Phase.FP, hw, prev), StrategySet.first(prefix),
+                            x, kers)
         want_pre = _oracle_conv(x, kers, conv, num_cu)
         assert _same_bits(r.pre_act, want_pre)
         assert _same_bits(r.outputs, _oracle_act_pool(want_pre, layer))
@@ -598,8 +594,8 @@ class TestScheduleOrder:
         d = rng.standard_normal((conv.m, ho, wo)).astype(np.float32)
         prev_h, prev_w = prev.conv_out_dims()
         prev_pre = rng.standard_normal((conv.n, prev_h, prev_w)).astype(np.float32)
-        r = run_super_layer(d, kers, layer, hw, StrategySet.first(prefix), Phase.DP,
-                            prev_layer=prev, prev_pre_act=prev_pre)
+        r = run_super_layer(layer_plan(layer, Phase.DP, hw, prev), StrategySet.first(prefix),
+                            d, kers, prev_pre_act=prev_pre)
         tkers = np.transpose(kers[:, :, ::-1, ::-1], (1, 0, 2, 3))
         want = _oracle_conv(d, tkers, transpose_geometry(layer).conv, num_cu)
         if prev.pool is not None:
@@ -617,8 +613,8 @@ class TestScheduleOrder:
         x = rng.standard_normal((conv.n, layer.input_h, layer.input_w)).astype(np.float32)
         kers = rng.standard_normal((conv.n, conv.m, conv.k, conv.k)).astype(np.float32)
         delta = rng.standard_normal((conv.m, *layer.conv_out_dims())).astype(np.float32)
-        r = run_super_layer(x, kers, layer, replace(paper_hw, num_cu=num_cu),
-                            StrategySet.first(prefix), Phase.KU, delta=delta)
+        r = run_super_layer(layer_plan(layer, Phase.KU, replace(paper_hw, num_cu=num_cu)),
+                            StrategySet.first(prefix), x, kers, delta=delta)
         assert _same_bits(r.grad, _oracle_ku(x, delta, conv))
 
     @pytest.mark.parametrize("prefix", range(6))
@@ -637,8 +633,8 @@ class TestScheduleOrder:
         delta = rng.choice(tiny, (conv.m, *layer.conv_out_dims()))
         delta[0] = rng.choice(tiny[:2], delta[0].shape)
         kers = np.zeros((conv.n, conv.m, conv.k, conv.k), dtype=np.float32)
-        r = run_super_layer(x, kers, layer, paper_hw, StrategySet.first(prefix), Phase.KU,
-                            delta=delta)
+        r = run_super_layer(layer_plan(layer, Phase.KU, paper_hw), StrategySet.first(prefix),
+                            x, kers, delta=delta)
         want = _oracle_ku(x, delta, conv)
         assert np.any((want[0] != 0) & (np.abs(want[0]) < np.finfo(np.float32).tiny))
         assert _same_bits(r.grad, want)

@@ -1,17 +1,19 @@
 """The checked path's draws and error check: same bits as whole-tensor calls,
-kernels drawn in the layout their phase reads, and bounded temporaries on
-AlexNet-sized tensors."""
+kernels drawn in the layout their phase reads, bounded temporaries on
+AlexNet-sized tensors, and one plan per call."""
 
+import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy imports it on first use: not in a traced peak
 import pytest
 
-from convtraffic import verify
+from convtraffic import archmodel, simulator, traffic, verify
 from convtraffic.reference import conv_backward_delta
-from convtraffic.simulator import kernel_matrix
-from convtraffic.specs import ConvSpec, SuperLayerSpec
+from convtraffic.simulator import kernel_matrix, plan_phase
+from convtraffic.specs import ConvSpec, SuperLayerSpec, network_from_dict
 from convtraffic.traffic import Phase, StrategySet
 from convtraffic.verify import (
     CHUNK_VALUES,
@@ -20,6 +22,8 @@ from convtraffic.verify import (
     reference_phase_result,
     simulate_layer,
 )
+
+from conftest import layer_plan
 
 MiB = 2**20
 C = CHUNK_VALUES
@@ -72,11 +76,11 @@ class TestDrawStream:
     @pytest.mark.parametrize("index, phase, last", [(2, Phase.KU, "delta"),
                                                     (1, Phase.DP, "prev_pre_act"),
                                                     (2, Phase.FP, None)])
-    def test_alexnet_tensors_match_one_call_per_tensor(self, alexnet, index, phase, last):
-        layer, prev = alexnet.layers[index], alexnet.layers[index - 1]
-        conv = layer.conv
+    def test_alexnet_tensors_match_one_call_per_tensor(self, alexnet, paper_hw, index, phase,
+                                                        last):
+        conv = alexnet.layers[index].conv
         rng, oracle = np.random.default_rng(4), np.random.default_rng(4)
-        got = random_phase_tensors(rng, layer, prev, phase)
+        got = random_phase_tensors(rng, plan_phase(alexnet, index, phase, paper_hw))
         names = ("x",) if phase is Phase.KU else ("kers", "x")
         names += (last,) if last else ()
         assert list(got) == list(names)
@@ -99,26 +103,24 @@ def two_layers(n, m, k, size=9):
 
 
 class TestKernelLayout:
-    """The drawn bank is the operand its phase contracts with, so nothing
-    copies it, and the reference's bits do not depend on that layout."""
+    """The plan draws the bank as the operand its phase contracts with, so
+    nothing copies it, and the reference's bits do not depend on that layout."""
 
-    def test_fp_kernel_matrix_is_the_bank(self, alexnet):
-        kers = random_phase_tensors(np.random.default_rng(0), alexnet.layers[2], None,
-                                    Phase.FP)["kers"]
-        assert np.shares_memory(kernel_matrix(kers), kers)
-
-    def test_dp_operand_is_the_bank(self, alexnet):
-        kers = random_phase_tensors(np.random.default_rng(0), alexnet.layers[2],
-                                    alexnet.layers[1], Phase.DP)["kers"]
-        swapped = kers[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # as the simulator turns it
-        assert np.shares_memory(kernel_matrix(swapped), kers)
-
-    # the phase's conv has one input map: n for FP, m for the transposed DP one
-    @pytest.mark.parametrize("phase, n, m", [(Phase.FP, 1, 4), (Phase.DP, 4, 1)])
-    def test_one_map_operand_keeps_draw_order(self, phase, n, m):
+    # the engine conv has one input map for FP at n = 1, and for DP, the
+    # transposed conv, at m = 1
+    @pytest.mark.parametrize("phase, n, m", [(Phase.FP, 4, 5), (Phase.DP, 4, 5), (Phase.FP, 1, 4),
+                                             (Phase.DP, 4, 1), (Phase.KU, 4, 5)])
+    def test_plan_kernel_layout(self, paper_hw, phase, n, m):
         layer, prev = two_layers(n, m, 3)
-        kers = random_phase_tensors(np.random.default_rng(0), layer, prev, phase)["kers"]
-        assert kers.shape == (n, m, 3, 3) and kers.flags.c_contiguous
+        plan = layer_plan(layer, phase, paper_hw, prev)
+        kers = random_phase_tensors(np.random.default_rng(0), plan).get("kers")
+        if phase is Phase.KU:
+            assert plan.kernel_layout is None and kers is None
+        elif plan.engine.conv.n == 1:
+            assert kers.shape == (n, m, 3, 3) and kers.flags.c_contiguous
+        else:
+            turned = kers if phase is Phase.FP else kers[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            assert np.shares_memory(kernel_matrix(turned), kers)
 
     # one output position among them: there the BLAS call and its bits
     # follow the operand's memory order, even for a small bank
@@ -127,12 +129,13 @@ class TestKernelLayout:
                                                (4, 5, 3, 9), (4, 5, 1, 9), (1, 5, 1, 9),
                                                (4, 1, 1, 9), (1, 30, 3, 3), (1, 7, 2, 2),
                                                (6, 30, 3, 3)])
-    def test_reference_bits_match_a_c_ordered_bank(self, phase, n, m, k, size):
+    def test_reference_bits_match_a_c_ordered_bank(self, paper_hw, phase, n, m, k, size):
         layer, prev = two_layers(n, m, k, size)
-        tensors = random_phase_tensors(np.random.default_rng(n * m * k), layer, prev, phase)
+        plan = layer_plan(layer, phase, paper_hw, prev)
+        tensors = random_phase_tensors(np.random.default_rng(n * m * k), plan)
         c_ordered = {**tensors, "kers": np.ascontiguousarray(tensors["kers"])}
-        got = reference_phase_result(layer, prev, tensors, phase)
-        want = reference_phase_result(layer, prev, c_ordered, phase)
+        got = reference_phase_result(plan, tensors)
+        want = reference_phase_result(plan, c_ordered)
         assert got.strides == want.strides and got.tobytes() == want.tobytes()
 
     # with one map (m = 1) the operand is a view whose order sets the bits:
@@ -189,27 +192,26 @@ class TestBlockwiseError:
 
 
 class TestTemporaryMemory:
-    def test_layer3_ku_draw(self, alexnet):
-        layer, prev = alexnet.layers[2], alexnet.layers[1]
-        tensors, peak = traced_peak(
-            lambda: random_phase_tensors(np.random.default_rng(0), layer, prev, Phase.KU))
+    def test_layer3_ku_draw(self, alexnet, paper_hw):
+        plan = plan_phase(alexnet, 2, Phase.KU, paper_hw)
+        tensors, peak = traced_peak(lambda: random_phase_tensors(np.random.default_rng(0), plan))
         assert peak <= sum(t.nbytes for t in tensors.values()) + MiB // 2
 
-    def test_ku_draw_keeps_no_kernels(self, alexnet):
-        tensors = random_phase_tensors(np.random.default_rng(0), alexnet.layers[2],
-                                       alexnet.layers[1], Phase.KU)
+    def test_ku_draw_keeps_no_kernels(self, alexnet, paper_hw):
+        tensors = random_phase_tensors(np.random.default_rng(0),
+                                       plan_phase(alexnet, 2, Phase.KU, paper_hw))
         assert list(tensors) == ["x", "delta"]
 
-    def test_layer2_dp_reference_has_no_window_matrix(self, alexnet):
-        layer, prev = alexnet.layers[1], alexnet.layers[0]
-        tensors = random_phase_tensors(np.random.default_rng(0), layer, prev, Phase.DP)
-        out, peak = traced_peak(lambda: reference_phase_result(layer, prev, tensors, Phase.DP))
+    def test_layer2_dp_reference_has_no_window_matrix(self, alexnet, paper_hw):
+        plan = plan_phase(alexnet, 1, Phase.DP, paper_hw)
+        tensors = random_phase_tensors(np.random.default_rng(0), plan)
+        out, peak = traced_peak(lambda: reference_phase_result(plan, tensors))
         assert peak <= sum(t.nbytes for t in tensors.values()) + out.nbytes + MiB
 
     @pytest.mark.parametrize("phase", [Phase.FP, Phase.DP])
     def test_checked_layer3_holds_one_kernel_bank(self, alexnet, paper_hw, phase):
-        layer, prev = alexnet.layers[2], alexnet.layers[1]
-        tensors = random_phase_tensors(np.random.default_rng(0), layer, prev, phase)
+        tensors = random_phase_tensors(np.random.default_rng(0),
+                                       plan_phase(alexnet, 2, phase, paper_hw))
         drawn, bank = sum(t.nbytes for t in tensors.values()), tensors["kers"].nbytes
         del tensors
         _, peak = traced_peak(lambda: simulate_layer(
@@ -223,9 +225,8 @@ class TestTemporaryMemory:
         assert peak < MiB
 
     def test_batch_frees_each_image(self, alexnet, paper_hw):
-        layer, prev = alexnet.layers[2], alexnet.layers[1]
         one_image = sum(t.nbytes for t in random_phase_tensors(
-            np.random.default_rng(0), layer, prev, Phase.KU).values())
+            np.random.default_rng(0), plan_phase(alexnet, 2, Phase.KU, paper_hw)).values())
         _, peak = traced_peak(lambda: simulate_layer(
             alexnet, 2, Phase.KU, StrategySet.parse("all"), paper_hw, seed=0, batch=2,
             compute=False))
@@ -238,3 +239,35 @@ class TestTemporaryMemory:
                 batch=batch, check_reference=True))[1]
 
         assert peak(2) <= peak(1) + MiB // 2
+
+
+class TestBuiltOnce:
+    """One simulate_layer call builds the engine geometry and the SRAM budget
+    once, in its plan, however many images it runs."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+
+        def count(module, name):
+            inner = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(traffic, "transpose_geometry")
+        count(archmodel, "sram_budget")
+        count(simulator, "sram_budget")
+        return calls
+
+    @pytest.mark.parametrize("source", ["alexnet-L2", "random-nets-item"])
+    def test_dp_call_at_batch_3(self, alexnet, bench_workloads, paper_hw, calls, source):
+        net = alexnet if source == "alexnet-L2" else network_from_dict(
+            bench_workloads.random_net(random.Random(1), 0))
+        simulate_layer(net, 1, Phase.DP, StrategySet.parse("all"), paper_hw, seed=0, batch=3,
+                       check_model=True, check_reference=True)
+        # one transposed geometry for the plan, one for the model's byte count
+        assert calls == {"transpose_geometry": 2, "sram_budget": 1}

@@ -87,23 +87,21 @@ def layer_rows() -> list[dict]:
     for every AlexNet (layer, phase) pair, one image, all strategies."""
     import numpy as np
     from convtraffic import presets, specs, verify
-    from convtraffic.simulator import run_super_layer
+    from convtraffic.simulator import plan_phase, run_super_layer
     from convtraffic.traffic import Phase, StrategySet
 
     net = specs.network_from_dict(workloads.ALEXNET)
     hw, strategies = presets.paper_hw(), StrategySet.parse("all")
     rows = []
-    for index, layer in enumerate(net.layers):
-        prev_layer = net.layers[index - 1] if index > 0 else None
+    for index in range(len(net.layers)):
         for name in workloads.defined_phases(workloads.ALEXNET, index):
-            phase = Phase(name)
-            tensors = verify.random_phase_tensors(np.random.default_rng(SEED), layer,
-                                                  prev_layer, phase)
+            plan = plan_phase(net, index, Phase(name), hw)
+            tensors = verify.random_phase_tensors(np.random.default_rng(SEED), plan)
 
             def simulate(x):
-                run_super_layer(x, tensors.get("kers"), layer, hw, strategies, phase,
-                                delta=tensors.get("delta"), prev_layer=prev_layer,
-                                prev_pre_act=tensors.get("prev_pre_act"), groups=net.groups[index])
+                run_super_layer(plan, strategies, x, tensors.get("kers"),
+                                delta=tensors.get("delta"),
+                                prev_pre_act=tensors.get("prev_pre_act"))
 
             rows.append({
                 "layer": index + 1,
@@ -111,7 +109,7 @@ def layer_rows() -> list[dict]:
                 "counters_s": median_seconds(lambda: simulate(None)),
                 "simulator_s": median_seconds(lambda: simulate(tensors["x"])),
                 "reference_s": median_seconds(
-                    lambda: verify.reference_phase_result(layer, prev_layer, tensors, phase)),
+                    lambda: verify.reference_phase_result(plan, tensors)),
             })
     return rows
 
