@@ -32,12 +32,18 @@ class HwConfig:
         if self.bitstream_bytes < 0:
             raise ConfigError(f"bitstream_bytes must be non-negative, got {self.bitstream_bytes}")
 
+    def check_kernel_side(self, k: int) -> None:
+        """Raise ConfigError unless a k x k window fits the window registers."""
+        if k < 1:
+            raise ConfigError(f"kernel side must be positive, got {k}")
+        if k > self.max_k:
+            raise ConfigError(
+                f"kernel side {k} exceeds the window-register budget (max_k={self.max_k})"
+            )
+
     def check_fits(self, conv: ConvSpec) -> None:
         """Raise ConfigError naming the budget and the limit a conv stage exceeds."""
-        if conv.k > self.max_k:
-            raise ConfigError(
-                f"kernel side {conv.k} exceeds the window-register budget (max_k={self.max_k})"
-            )
+        self.check_kernel_side(conv.k)
         if conv.n > self.max_n:
             raise ConfigError(
                 f"{conv.n} input maps exceed the index-range budget (max_n={self.max_n})"
@@ -86,8 +92,7 @@ class ReconfigReport:
 def peak_throughput(hw: HwConfig, k: int) -> float:
     """Flops per second with every CU busy: k^2 multipliers plus a
     (k^2 - 1)-adder tree per unit, one filter per cycle."""
-    if k > hw.max_k:
-        raise ConfigError(f"kernel side {k} exceeds supported max_k={hw.max_k}")
+    hw.check_kernel_side(k)
     return hw.num_cu * (2 * k * k - 1) * hw.clock_hz
 
 

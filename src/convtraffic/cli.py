@@ -156,28 +156,12 @@ def cmd_simulate(manifest: RunManifest, seed: int, layer_index: int | None, chec
             seed=seed + index, batch=batch, compute=check_reference,
             check_model=check_model, check_reference=check_reference,
         )
-        model_ok = check.model_match if check_model else None
-        ref_err = check.reference_error if check_reference else None
-        if check_model and not model_ok:
-            failures.append(f"layer {index + 1}: {check.model_mismatch}")
-        # written so that a NaN error fails too
-        if check_reference and ref_err is not None and not ref_err <= 1e-5:
-            failures.append(
-                f"layer {index + 1}: max relative error {ref_err:.3g} exceeds 1e-05"
-            )
-        rows.append(
-            [
-                index + 1,
-                manifest.phase.value,
-                check.cycles,
-                check.sim_traffic.input_bytes,
-                check.sim_traffic.output_bytes,
-                check.sim_traffic.kernel_bytes,
-                check.last_run.sram_bytes,
-                "-" if model_ok is None else model_ok,
-                "-" if ref_err is None else f"{ref_err:.3g}",
-            ]
-        )
+        failures += [f"layer {index + 1}: {failure}" for failure in check.failures]
+        traffic = check.sim_traffic
+        rows.append([index + 1, manifest.phase.value, check.cycles, traffic.input_bytes,
+                     traffic.output_bytes, traffic.kernel_bytes, check.last_run.sram_bytes,
+                     "-" if check.model_match is None else check.model_match,
+                     "-" if check.reference_error is None else f"{check.reference_error:.3g}"])
         payload_layers.append(
             {
                 "layer": index + 1,
@@ -185,9 +169,9 @@ def cmd_simulate(manifest: RunManifest, seed: int, layer_index: int | None, chec
                 "cycles": check.cycles,
                 "sram_bytes": check.last_run.sram_bytes,
                 "register_bits": check.last_run.register_bits,
-                "model_match": model_ok,
-                "reference_error": ref_err,
-                **{f"traffic_{k}": v for k, v in check.sim_traffic.to_dict().items()},
+                "model_match": check.model_match,
+                "reference_error": check.reference_error,
+                **{f"traffic_{k}": v for k, v in traffic.to_dict().items()},
             }
         )
     payload = {

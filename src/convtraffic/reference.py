@@ -4,7 +4,7 @@ These routines define the numerical behaviour every other component is
 checked against. Convolutions contract through BLAS, so their summation
 order is the library's, not a fixed one. What holds instead: a result keeps
 the dtype of its inputs, the 32-bit path agrees with the simulator within
-1e-5 relative error, and verification oracles run the same code in 64-bit.
+verify.REFERENCE_BOUND, and verification oracles run the same code in 64-bit.
 
 Windows are read-only strided views from specs.window_view, the simulator's
 helper too, over a zero-filled pad for the convs. Each conv contraction runs
@@ -212,24 +212,39 @@ def kernel_gradient(x: np.ndarray, delta: np.ndarray, spec: ConvSpec) -> np.ndar
     return out.reshape(n, k, k, spec.m).transpose(0, 3, 1, 2)
 
 
+RE_PROBES = 3  # times a weight is probed again, at a tenth of the step, across a kink
+
+
+def _loss_and_regime(value) -> tuple[float, object]:
+    return (float(value[0]), value[1]) if isinstance(value, tuple) else (float(value), None)
+
+
 def finite_diff_gradient(
-    loss: Callable[[np.ndarray], float], ker: np.ndarray, epsilon: float
+    loss: Callable[[np.ndarray], float | tuple], ker: np.ndarray, epsilon: float
 ) -> np.ndarray:
     """Central-difference gradient of a scalar loss w.r.t. every kernel weight,
-    evaluated in 64-bit arithmetic."""
+    evaluated in 64-bit arithmetic. loss returns the loss, or a (loss, regime)
+    pair whose regime is the same wherever the loss is smooth, as chain_loss's
+    rectifier masks are. A weight whose probes meet another regime than the
+    bank's is probed again at a tenth of the step, at most RE_PROBES times."""
     if not 0 < epsilon < np.inf:
         raise GradcheckError(f"epsilon must be positive and finite, got {epsilon}")
     base = ker.astype(np.float64)
+    regime = _loss_and_regime(loss(base))[1]
     grad = np.zeros_like(base)
     for idx in np.ndindex(base.shape):
         probe = base.copy()
-        probe[idx] = base[idx] + epsilon
-        j_plus = float(loss(probe))
-        probe[idx] = base[idx] - epsilon
-        j_minus = float(loss(probe))
+        for attempt in range(RE_PROBES + 1):
+            step = epsilon / 10**attempt
+            probe[idx] = base[idx] + step
+            j_plus, plus = _loss_and_regime(loss(probe))
+            probe[idx] = base[idx] - step
+            j_minus, minus = _loss_and_regime(loss(probe))
+            if plus == minus == regime:
+                break
         if not (np.isfinite(j_plus) and np.isfinite(j_minus)):
             raise GradcheckError(f"non-finite loss while probing weight {idx}")
-        grad[idx] = (j_plus - j_minus) / (2.0 * epsilon)
+        grad[idx] = (j_plus - j_minus) / (2.0 * step)
     return grad
 
 
@@ -245,10 +260,12 @@ def _forward_chain(net: NetworkSpec, banks: list[np.ndarray], x0: np.ndarray):
     return x, inputs, pre_acts
 
 
-def chain_loss(net: NetworkSpec, banks: list[np.ndarray], x0: np.ndarray) -> float:
-    """Quadratic loss 0.5*sum(out^2) of the chain's output, summed in 64-bit."""
-    out, _, _ = _forward_chain(net, banks, x0)
-    return 0.5 * float(np.sum(out.astype(np.float64) ** 2))
+def chain_loss(net: NetworkSpec, banks: list[np.ndarray], x0: np.ndarray) -> tuple:
+    """Quadratic loss 0.5*sum(out^2) of the chain's output, summed in 64-bit,
+    and the chain's rectifier masks, between whose changes the loss is smooth."""
+    out, _, pre_acts = _forward_chain(net, banks, x0)
+    masks = [(pre > 0).tobytes() for pre, layer in zip(pre_acts, net.layers) if layer.has_act]
+    return 0.5 * float(np.sum(out.astype(np.float64) ** 2)), masks
 
 
 def analytic_kernel_gradients(

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .archmodel import HwConfig
+from .archmodel import HwConfig, cycle_count
 from .errors import ConfigError
 from .reference import kernel_gradient, super_backward_delta, super_forward
 from .simulator import PhasePlan, SimResult, plan_phase, run_super_layer
@@ -18,6 +18,7 @@ from .traffic import Phase, StrategySet, TrafficReport, super_traffic
 # Float64 values per block of a draw or an error check, so a large tensor
 # never has a whole-tensor float64 temporary
 CHUNK_VALUES = CHUNK_BYTES // 8
+REFERENCE_BOUND = 1e-5  # largest relative error the reference check passes
 
 
 def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -92,14 +93,14 @@ def reference_phase_result(plan: PhasePlan, tensors: dict) -> np.ndarray:
 
 @dataclass
 class LayerCheck:
-    """Outcome of simulating one layer and checking it against the models."""
+    """Outcome of simulating one layer and checking it: one line per failed check in failures."""
 
     sim_traffic: TrafficReport
     cycles: int
     last_run: SimResult
     model_match: bool | None = None
-    model_mismatch: str = ""
     reference_error: float | None = None
+    failures: list[str] = field(default_factory=list)
 
 
 def simulate_layer(
@@ -113,10 +114,10 @@ def simulate_layer(
     compute: bool = True,
     check_model: bool = False,
     check_reference: bool = False,
-    trace: bool = False,
 ) -> LayerCheck:
-    """Run one layer for `batch` images and optionally assert byte equality
-    with the traffic model and functional agreement with the reference math.
+    """Run one layer for `batch` images and optionally check the bytes and
+    cycles against the traffic and cycle models, and the outputs against the
+    reference math within REFERENCE_BOUND.
 
     Streamed bytes and cycles add up over the images; the kernel preload is
     charged once per run, since the store keeps the kernels across images.
@@ -127,7 +128,6 @@ def simulate_layer(
     # NetworkSpec's checks, so it runs only for a batch other than the net's
     batch_net = net if batch == net.batch else replace(net, batch=batch)
     plan = plan_phase(net, index, phase, hw)
-    model = super_traffic(index, batch_net, phase, strategies, hw.word_bytes)
 
     sim_traffic = None
     cycles = 0
@@ -136,15 +136,9 @@ def simulate_layer(
         # drop the previous image's arrays before this image draws
         tensors = result = expected = got = None
         tensors = random_phase_tensors(rng, plan)
-        result = run_super_layer(
-            plan,
-            strategies,
-            tensors["x"] if compute else None,
-            tensors.get("kers"),
-            delta=tensors.get("delta"),
-            prev_pre_act=tensors.get("prev_pre_act"),
-            trace=trace,
-        )
+        result = run_super_layer(plan, strategies, tensors["x"] if compute else None,
+                                 tensors.get("kers"), delta=tensors.get("delta"),
+                                 prev_pre_act=tensors.get("prev_pre_act"))
         sim_traffic = result.traffic if sim_traffic is None else sim_traffic + result.traffic
         cycles += result.cycles
         if check_reference and compute:
@@ -157,18 +151,18 @@ def simulate_layer(
 
     if batch > 1:  # the kernel preload is charged once, not once per image
         sim_traffic = replace(sim_traffic, kernel_bytes=result.traffic.kernel_bytes)
-    check = LayerCheck(
-        sim_traffic=sim_traffic,
-        cycles=cycles,
-        last_run=result,
-        reference_error=reference_error,
-    )
+    check = LayerCheck(sim_traffic, cycles, result, reference_error=reference_error)
     if check_model:
-        mismatches = []
-        for field in ("input_bytes", "output_bytes", "kernel_bytes"):
-            got, want = getattr(sim_traffic, field), getattr(model, field)
-            if got != want:
-                mismatches.append(f"{field}: simulator {got} vs model {want}")
+        model = super_traffic(index, batch_net, phase, strategies, hw.word_bytes)
+        pairs = [(name, getattr(sim_traffic, name), getattr(model, name))
+                 for name in ("input_bytes", "output_bytes", "kernel_bytes")]
+        pairs.append(("cycles", cycles, cycle_count(plan.engine, hw, batch) * plan.groups))
+        mismatches = [f"{name}: simulator {got} vs model {want}"
+                      for name, got, want in pairs if got != want]
         check.model_match = not mismatches
-        check.model_mismatch = "; ".join(mismatches)
+        check.failures += ["; ".join(mismatches)] if mismatches else []
+    # written so that a NaN error fails too
+    if reference_error is not None and not reference_error <= REFERENCE_BOUND:
+        check.failures.append(
+            f"max relative error {reference_error:.3g} exceeds {REFERENCE_BOUND:g}")
     return check

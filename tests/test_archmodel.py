@@ -32,8 +32,10 @@ class TestPeakThroughput:
         )
 
     def test_kernel_side_cap(self, paper_hw):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="window-register budget"):
             peak_throughput(paper_hw, paper_hw.max_k + 1)
+        with pytest.raises(ConfigError, match="kernel side must be positive, got 0"):
+            peak_throughput(paper_hw, 0)
 
 
 class TestCycleCount:

@@ -4,7 +4,7 @@ benchmarks/run.py reaches the package through names no other test imports:
 `convtraffic.Phase`, the submodules as package attributes, and the helpers
 its tracer wraps in `verify`'s namespace. A change that drops one of them
 makes every benchmark item fail; these tests make it fail here instead. The
-harness is loaded read-only, as tools/hash_runs.py loads its workloads.
+harness is loaded read-only, as tools/fingerprint.py loads its workloads.
 """
 
 import importlib.util

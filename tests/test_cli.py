@@ -388,6 +388,15 @@ class TestGradcheck:
         payload = json.loads(capsys.readouterr().out)
         assert [l["pass"] for l in payload["layers"]] == [True, True]
 
+    def test_probe_across_a_rectifier_kink_passes(self, tmp_path, capsys):
+        # at seed 0 the +1e-3 probe of layer-1 weight (1, 1, 1, 1) flips one
+        # layer-1 rectifier mask element; that weight is probed again at 1e-4
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(_toy2_with(input_h=185)))
+        assert main(["gradcheck", "--net", str(path), "--seed", "0", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["epsilon"] == 1e-3 and payload["failures"] == []
+
     def test_corrupted_gradient_fails_with_location(self, capsys, monkeypatch):
         _corrupt_first_gradient(monkeypatch)
         assert main(["gradcheck", "--seed", "7", "--format", "json"]) == 1
@@ -471,7 +480,8 @@ class TestFailureChannel:
         err = _failure_channel(capsys, ["gradcheck", "--seed", "7"])
         assert len(err) == 1 and err[0].startswith("FAILED: layer 1 weight (0, 0, 0, 0)")
 
-    def test_simulate(self, capsys, monkeypatch):
+    @staticmethod
+    def _input_bytes_one_off(monkeypatch) -> str:
         real = verify.super_traffic
         model = real(1, presets.toy2(), Phase.FP, StrategySet.all_on(), 4).input_bytes
 
@@ -480,14 +490,37 @@ class TestFailureChannel:
             return replace(report, input_bytes=report.input_bytes + 1)
 
         monkeypatch.setattr(verify, "super_traffic", one_byte_off)
+        return f"input_bytes: simulator {model} vs model {model + 1}"
+
+    @staticmethod
+    def _cycles_one_off(monkeypatch) -> str:
+        real = verify.cycle_count
+        model = real(presets.toy2().layers[1], presets.paper_hw(), 1)
+        monkeypatch.setattr(verify, "cycle_count", lambda *args: real(*args) + 1)
+        return f"cycles: simulator {model} vs model {model + 1}"
+
+    @staticmethod
+    def _model_check_fails(capsys, message):
         argv = ["simulate", "--net", "toy2", "--layer", "2", "--check-against-model"]
-        message = f"layer 2: input_bytes: simulator {model} vs model {model + 1}"
         err = _failure_channel(capsys, argv)
         assert err == [f"FAILED: {message}"]
         assert main([*argv, "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["failures"] == [message]
         assert payload["layers"][0]["model_match"] is False
+
+    def test_simulate(self, capsys, monkeypatch):
+        message = f"layer 2: {self._input_bytes_one_off(monkeypatch)}"
+        self._model_check_fails(capsys, message)
+
+    def test_simulate_cycles(self, capsys, monkeypatch):
+        message = f"layer 2: {self._cycles_one_off(monkeypatch)}"
+        self._model_check_fails(capsys, message)
+
+    def test_simulate_bytes_and_cycles_one_line(self, capsys, monkeypatch):
+        bytes_off = self._input_bytes_one_off(monkeypatch)
+        message = f"layer 2: {bytes_off}; {self._cycles_one_off(monkeypatch)}"
+        self._model_check_fails(capsys, message)
 
     def test_simulate_reference_error(self, capsys, monkeypatch):
         real = verify.reference_phase_result

@@ -1,7 +1,6 @@
 """Seeded property sweeps over the reference math and the models."""
 
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from convtraffic import presets
-from convtraffic.archmodel import cycle_count, sram_budget
+from convtraffic.archmodel import sram_budget
 from convtraffic.reference import (
     act_forward,
     conv_backward_delta,
@@ -22,7 +21,7 @@ from convtraffic.reference import (
 )
 from convtraffic.simulator import plan_phase, run_super_layer
 from convtraffic.specs import ConvSpec, NetworkSpec, PoolSpec, SuperLayerSpec
-from convtraffic.traffic import Phase, StrategySet, super_traffic, transpose_geometry
+from convtraffic.traffic import Phase, StrategySet, transpose_geometry
 from convtraffic.verify import random_phase_tensors, simulate_layer
 
 
@@ -330,15 +329,8 @@ class TestCountersMatchModels:
                 budget = sram_budget(geom, hw)
                 for strategies in STRATEGY_SETS:
                     check = simulate_layer(net, index, phase, strategies, hw, seed=index,
-                                           batch=batch, compute=False)
-                    model = super_traffic(index, replace(net, batch=batch), phase, strategies,
-                                          hw.word_bytes)
-                    case_id = (index, phase, strategies.label())
-                    got = check.sim_traffic
-                    assert got.input_bytes == model.input_bytes, case_id
-                    assert got.output_bytes == model.output_bytes, case_id
-                    assert got.kernel_bytes == model.kernel_bytes, case_id
-                    assert check.cycles == cycle_count(geom, hw, batch) * net.groups[index]
+                                           batch=batch, compute=False, check_model=True)
+                    assert check.failures == [], (index, phase, strategies.label())
                     assert check.last_run.sram_bytes == (
                         budget.kernel_sram_bytes + budget.line_buffer_bytes
                     )

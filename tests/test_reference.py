@@ -3,6 +3,7 @@ import pytest
 
 from convtraffic.errors import ConfigError, GradcheckError, ShapeError
 from convtraffic.reference import (
+    RE_PROBES,
     act_backward,
     act_forward,
     conv_backward_delta,
@@ -337,6 +338,31 @@ class TestFiniteDiff:
 
         fd = finite_diff_gradient(loss, np.ones((1, 1, 2, 2)), 1e-3)
         assert not fd.any()
+
+    def test_probe_across_a_kink_is_probed_again(self):
+        # J = max(0, w - c) with the kink 0.5e-3 above w: the 1e-3 probes span
+        # it, the 1e-4 ones do not and see the flat side's zero gradient
+        kink = 1.0 + 0.5e-3
+
+        def loss(bank):
+            return max(0.0, float(bank[0, 0, 0, 0]) - kink)
+
+        def loss_and_side(bank):
+            return loss(bank), bool(bank[0, 0, 0, 0] > kink)
+
+        ker = np.ones((1, 1, 1, 1))
+        assert finite_diff_gradient(loss, ker, 1e-3)[0, 0, 0, 0] == pytest.approx(0.25)
+        assert finite_diff_gradient(loss_and_side, ker, 1e-3)[0, 0, 0, 0] == 0.0
+
+    def test_probes_again_a_bounded_number_of_times(self):
+        calls = []
+
+        def loss(bank):  # a regime that never repeats
+            calls.append(1)
+            return 0.0, len(calls)
+
+        finite_diff_gradient(loss, np.ones((1, 1, 1, 2)), 1e-3)
+        assert len(calls) == 1 + 2 * 2 * (RE_PROBES + 1)
 
     def test_non_finite_loss_reported(self):
         def loss(bank):

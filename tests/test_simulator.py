@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from convtraffic.archmodel import cycle_count, sram_budget
+from convtraffic.archmodel import sram_budget
 from convtraffic.errors import ConfigError, ShapeError
 from convtraffic.reference import conv_forward, super_forward
 from convtraffic import presets, simulator
@@ -316,7 +316,7 @@ class TestSimulatorAgainstModel:
                     net, 0, phase, StrategySet.first(prefix), paper_hw,
                     seed=0, compute=True, check_model=True,
                 )
-                assert check.model_match, check.model_mismatch
+                assert check.model_match, check.failures
 
     def test_truncated_stride_layer_matches_model(self, paper_hw):
         # stride 2 with a dangling row/column: read-once counts only touched elements
@@ -327,7 +327,7 @@ class TestSimulatorAgainstModel:
                 net, 0, Phase.FP, StrategySet.first(prefix), paper_hw,
                 seed=1, compute=True, check_model=True,
             )
-            assert check.model_match, check.model_mismatch
+            assert check.model_match, check.failures
 
     @pytest.mark.parametrize("batch", [2, 3])
     def test_batch_bytes_match_model_every_phase_and_prefix(self, paper_hw, batch):
@@ -342,7 +342,7 @@ class TestSimulatorAgainstModel:
                         net, index, phase, StrategySet.first(prefix), paper_hw,
                         seed=prefix, batch=batch, check_model=True, check_reference=True,
                     )
-                    assert check.model_match, (index, phase, prefix, check.model_mismatch)
+                    assert check.model_match, (index, phase, prefix, check.failures)
                     assert check.reference_error < 1e-5
 
     def test_alexnet_layer4_preload_charged_once_at_batch2(self, alexnet, paper_hw):
@@ -350,12 +350,12 @@ class TestSimulatorAgainstModel:
             alexnet, 3, Phase.FP, StrategySet.first(4), paper_hw,
             seed=0, batch=2, compute=False, check_model=True,
         )
-        assert check.model_match, check.model_mismatch
+        assert check.model_match, check.failures
         assert check.sim_traffic.kernel_bytes == 2_654_208
 
     @pytest.mark.parametrize("batch", [1, 2])
     def test_cycles_match_cycle_count_every_pair(self, alexnet, paper_hw, batch):
-        # delta propagation runs, and is timed, on the transposed geometry
+        # the model check holds the cycles to archmodel.cycle_count
         pairs = 0
         for index, layer in enumerate(alexnet.layers):
             phases = [Phase.FP, Phase.KU]
@@ -364,11 +364,9 @@ class TestSimulatorAgainstModel:
             for phase in phases:
                 check = simulate_layer(
                     alexnet, index, phase, StrategySet.all_on(), paper_hw,
-                    seed=0, batch=batch, compute=False,
+                    seed=0, batch=batch, compute=False, check_model=True,
                 )
-                geom = transpose_geometry(layer) if phase is Phase.DP else layer
-                want = cycle_count(geom, paper_hw, batch) * alexnet.groups[index]
-                assert check.cycles == want, (index, phase)
+                assert check.failures == [], (index, phase)
                 pairs += 1
         assert pairs == 14
 
