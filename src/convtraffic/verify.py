@@ -55,24 +55,14 @@ def _draw(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _skip(rng: np.random.Generator, count: int) -> None:
-    """Move rng past count standard normals, CHUNK_VALUES at a time."""
-    for start in range(0, count, CHUNK_VALUES):
-        rng.standard_normal(min(CHUNK_VALUES, count - start))
-
-
 def random_phase_tensors(rng: np.random.Generator, plan: PhasePlan) -> dict:
     """Seeded single-group tensors for one image of the plan's layer and
-    phase, drawn in this order: kernels (n, m, k, k), straight into
-    plan.kernel_layout, then each of plan.draws: the conv input x in the
+    phase, drawn in this order: FP's and DP's kernels (n, m, k, k), straight
+    into plan.kernel_layout, then each of plan.draws: the conv input x in the
     engine geometry, then DP's previous pre-activation or KU's delta. KU has
-    no kernel operand: the generator moves past the kernel values and none
-    is kept."""
+    no kernel operand (plan.kernel_layout is None), so it draws none."""
     tensors = {}
-    if plan.kernel_layout is None:
-        conv = plan.layer.conv
-        _skip(rng, conv.n * conv.m * conv.k * conv.k)
-    else:
+    if plan.kernel_layout is not None:
         shape, turn, axes = plan.kernel_layout
         tensors["kers"] = _draw(rng, np.empty(shape, np.float32)[turn].transpose(axes))
     for name, shape in plan.draws.items():
@@ -116,12 +106,14 @@ def simulate_layer(
     check_reference: bool = False,
 ) -> LayerCheck:
     """Run one layer for `batch` images and optionally check the bytes and
-    cycles against the traffic and cycle models, and the outputs against the
-    reference math within REFERENCE_BOUND.
+    cycles against the traffic and cycle models, and the outputs, which only
+    compute produces, against the reference math within REFERENCE_BOUND.
 
     Streamed bytes and cycles add up over the images; the kernel preload is
     charged once per run, since the store keeps the kernels across images.
     """
+    if check_reference and not compute:
+        raise ConfigError("check_reference needs compute: without it there are no outputs to check")
     rng = np.random.default_rng(seed)
     # a batch below 1, a phase the layer does not have and a layer over hw's
     # budgets are rejected before anything is drawn; replace re-runs
@@ -141,7 +133,7 @@ def simulate_layer(
                                  prev_pre_act=tensors.get("prev_pre_act"))
         sim_traffic = result.traffic if sim_traffic is None else sim_traffic + result.traffic
         cycles += result.cycles
-        if check_reference and compute:
+        if check_reference:
             expected = reference_phase_result(plan, tensors)
             got = result.grad if phase is Phase.KU else result.outputs
             err = max_relative_error(got, expected)

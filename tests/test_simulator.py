@@ -207,8 +207,11 @@ def _toy_net():
      "shape mismatch"),
     (lambda: NetworkSpec("x", 1, (_toy_layer(),), (1, 2)), ShapeError,
      "groups list has 2 entries for 1 layers"),
+    (lambda: simulate_layer(_toy_net(), 0, Phase.FP, StrategySet.all_on(), presets.paper_hw(),
+                            seed=0, compute=False, check_reference=True), ConfigError,
+     "check_reference needs compute"),
 ], ids=["maps-ndim", "maps-count", "maps-width", "kernels-ndim", "kernels-n", "kernels-m",
-        "dp-without-prev-layer", "error-shapes", "groups-length"])
+        "dp-without-prev-layer", "error-shapes", "groups-length", "reference-without-compute"])
 def test_library_entry_rejects_a_wrong_axis(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -2,6 +2,7 @@
 
     python3 tools/fingerprint.py runs ROOT WORKLOAD SEED [SEED ...] > runs.jsonl
     python3 tools/fingerprint.py reports ROOT > reports.jsonl
+    python3 tools/fingerprint.py moved PARENT.jsonl CHANGE.jsonl
 
 ROOT is a checkout whose src/convtraffic is imported; BLAS runs on one thread.
 
@@ -22,6 +23,11 @@ check, `roofline`, `gradcheck`, and the front-door errors of `simulate
 --layer`, an empty `roofline --dram` and a non-finite `gradcheck --epsilon`.
 
 `diff` of two checkouts' outputs is the "same outputs" evidence for a change.
+`moved` reads two `runs` files over the same items and prints, for each
+phase and field, how many lines differ, as `PHASE FIELD COUNT`, in phase and
+field order; it prints nothing when the files agree, and exits 1 when their
+item lists differ. A change that moves outputs on purpose shows there which
+ones moved.
 """
 
 from __future__ import annotations
@@ -33,12 +39,14 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 import workloads  # noqa: E402
 
 PHASES = ("fp", "dp", "ku")
+ITEM_KEYS = ("seed", "item", "net", "label", "strategies", "k")  # what names a `runs` line
 STRATEGY_SETS = ("none", "1", "1-2", "1-3", "1-4", "all", "2", "4", "1,4", "2,4")
 
 
@@ -100,6 +108,24 @@ def runs(workload: str, seeds: list[int]) -> None:
             }))
 
 
+def moved(parent: Path, change: Path) -> int:
+    """Print how many lines of two `runs` files differ, per phase and field."""
+    old, new = ([json.loads(line) for line in path.read_text().splitlines()]
+                for path in (parent, change))
+    items = [[[line[key] for key in ITEM_KEYS] for line in lines] for lines in (old, new)]
+    if items[0] != items[1]:
+        print(f"error: {parent} and {change} do not hold the same items", file=sys.stderr)
+        return 1
+    # compared as JSON text, so a NaN error equals itself
+    counts = Counter((a["label"].split(".")[1], name) for a, b in zip(old, new)
+                     for name in a if json.dumps(a[name]) != json.dumps(b[name]))
+    for phase in PHASES:
+        for name in old[0] if old else ():
+            if counts[phase, name]:
+                print(phase, name, counts[phase, name])
+    return 0
+
+
 def commands() -> list[list[str]]:
     matrix = [["compare", "all", "--format", "json"]]
     for phase in PHASES:
@@ -145,7 +171,12 @@ def main(argv=None) -> int:
     r.add_argument("seeds", nargs="+", type=int)
     r = sub.add_parser("reports", help="every CLI report of a fixed command matrix")
     r.add_argument("root", type=Path)
+    r = sub.add_parser("moved", help="lines that differ between two `runs` files")
+    r.add_argument("parent", type=Path)
+    r.add_argument("change", type=Path)
     args = p.parse_args(argv)
+    if args.what == "moved":
+        return moved(args.parent, args.change)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path.insert(0, str(args.root.resolve() / "src"))
