@@ -32,7 +32,8 @@ can differ, and the kernel store, which starts at +0.0, absorbs it (adding a
 zero of either sign never leaves -0.0 there).
 The pooling engine works on whole maps, the pooling-transpose gather on
 blocks of elements that lie in the same windows relative to their position;
-both add each element's taps in place, in the order a per-window np.sum does.
+like a pooling unit, both add each element's taps one at a time, in order,
+into a register cleared to +0.0.
 
 One run covers one image of one group and scales its counters to the
 group count. Over a batch, streamed words and cycles add up image by image,
@@ -47,7 +48,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -429,53 +429,17 @@ def _conv_sweep(
     return store.reshape(n, k, k, m).transpose(0, 3, 1, 2) if kernel_update else y
 
 
-def _window_sum(tap: Callable[[int], np.ndarray], n: int, out: np.ndarray) -> None:
-    """Add taps 0 .. n-1 (tap(i) is an array; a window's taps are numbered
-    row-major) elementwise into out, which holds +0.0, in the order np.sum
-    adds one window: numpy's pairwise summation (one running sum below
-    eight taps; up to 128, eight interleaved running sums combined as a
-    tree; halves beyond), added to a +0 output. A running sum needs no
-    array beyond out."""
-    if n < 8:
-        for i in range(n):
-            out += tap(i)
-        return
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        rest = np.zeros_like(out)
-        _window_sum(tap, half, out)
-        _window_sum(lambda i: tap(half + i), n - half, rest)
-        out += rest
-    else:
-        whole = n - n % 8
-        if whole == 8:
-            partial = [tap(j) for j in range(8)]
-        else:
-            partial = [tap(j) + tap(8 + j) for j in range(8)]
-        for start in range(16, whole, 8):
-            for j in range(8):
-                partial[j] += tap(start + j)
-        np.add(partial[0], partial[1], out=out)
-        out += partial[2] + partial[3]
-        upper = partial[4] + partial[5]
-        upper += partial[6] + partial[7]
-        out += upper
-        for i in range(whole, n):
-            out += tap(i)
-    out += np.float32(0.0)  # a -0.0 sum leaves as +0.0, as from np.sum
-
-
 def _act_pool_engine(pre: np.ndarray, layer: SuperLayerSpec) -> np.ndarray:
-    """Fused rectifier + pooling stage: every pooled element adds its window's
-    taps in the order a per-window np.sum does, over whole maps at once."""
+    """Fused rectifier + pooling stage over whole maps: every pooled element
+    adds its window's taps one at a time, in row-major order, into a cleared
+    (+0.0) register, then takes the 1/p^2 weight."""
     out = np.maximum(pre, np.float32(0.0)) if layer.has_act else pre
     if layer.pool is not None:
         p, s = layer.pool.p, layer.pool.stride
         ph, pw = layer.pool.out_dims(out.shape[1], out.shape[2])
-        taps = [out[:, u : u + (ph - 1) * s + 1 : s, v : v + (pw - 1) * s + 1 : s]
-                for u in range(p) for v in range(p)]
-        out = np.zeros((out.shape[0], ph, pw), dtype=np.float32)
-        _window_sum(taps.__getitem__, len(taps), out)
+        maps, out = out, np.zeros((out.shape[0], ph, pw), dtype=np.float32)
+        for u, v in itertools.product(range(p), repeat=2):
+            out += maps[:, u : u + (ph - 1) * s + 1 : s, v : v + (pw - 1) * s + 1 : s]
         out *= np.float32(1.0 / (p * p))
     return out
 
@@ -510,8 +474,9 @@ def _pool_transpose_gather(
     element the 1/p^2-weighted deltas of every window that contains it.
 
     Output elements are taken in blocks that lie in the same windows relative
-    to their own position; each block adds its deltas as whole-block views,
-    in the order np.sum adds one element's (rows x columns) delta block.
+    to their own position; each block adds the deltas of its windows as
+    whole-block views, one window at a time in ascending (row-major) order,
+    into a cleared (+0.0) register, then takes the 1/p^2 weight.
     """
     p, s = pool.p, pool.stride
     ph, pw = pool.out_dims(out_h, out_w)
@@ -525,8 +490,8 @@ def _pool_transpose_gather(
         for cols, c0, nc in col_runs:
             block = out[:, rows, cols]
             bh, bw = block.shape[1:]
-            _window_sum(lambda t: d[:, r0 + t // nc : r0 + t // nc + bh,
-                                    c0 + t % nc : c0 + t % nc + bw], nr * nc, block)
+            for a, b in itertools.product(range(nr), range(nc)):
+                block += d[:, r0 + a : r0 + a + bh, c0 + b : c0 + b + bw]
     out *= np.float32(1.0 / (p * p))
     return out
 

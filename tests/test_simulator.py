@@ -410,8 +410,9 @@ def _oracle_conv(x, kers, conv, num_cu):
 
 
 def _oracle_act_pool(pre, layer):
-    """The rectifier and pooling stage as a plain loop: one np.sum over each
-    pooled element's window, then the 1/p^2 weight."""
+    """The rectifier and pooling stage as a plain loop: each pooled element
+    adds its window's taps one at a time, row-major, into a cleared float32
+    register, then takes the 1/p^2 weight."""
     out = np.maximum(pre, np.float32(0.0)) if layer.has_act else pre
     if layer.pool is None:
         return out
@@ -421,13 +422,19 @@ def _oracle_act_pool(pre, layer):
     pooled = np.zeros((out.shape[0], ph, pw), dtype=np.float32)
     for r in range(ph):
         for c in range(pw):
-            pooled[:, r, c] = out[:, r * s : r * s + p, c * s : c * s + p].sum(axis=(1, 2)) * inv
+            acc = np.zeros(out.shape[0], np.float32)
+            for u in range(p):
+                for v in range(p):
+                    acc += out[:, r * s + u, c * s + v]
+            pooled[:, r, c] = acc * inv
     return pooled
 
 
 def _oracle_pool_transpose(d, pool, out_h, out_w):
-    """The pooling transpose as a plain gather loop: per output element one
-    np.sum over the deltas of every window that contains it."""
+    """The pooling transpose as a plain gather loop: each output element adds
+    the delta of every window that contains it, one window at a time in
+    row-major window order, into a cleared float32 register, then takes the
+    1/p^2 weight."""
     p, s = pool.p, pool.stride
     ph, pw = pool.out_dims(out_h, out_w)
     inv = np.float32(1.0 / (p * p))
@@ -438,8 +445,11 @@ def _oracle_pool_transpose(d, pool, out_h, out_w):
         for b in range(out_w):
             c_lo = max(0, math.ceil((b - p + 1) / s))
             c_hi = min(pw - 1, b // s)
-            if r_hi >= r_lo and c_hi >= c_lo:
-                out[:, a, b] = d[:, r_lo : r_hi + 1, c_lo : c_hi + 1].sum(axis=(1, 2)) * inv
+            acc = np.zeros(d.shape[0], np.float32)
+            for r in range(r_lo, r_hi + 1):
+                for c in range(c_lo, c_hi + 1):
+                    acc += d[:, r, c]
+            out[:, a, b] = acc * inv
     return out
 
 
@@ -461,8 +471,9 @@ def _oracle_ku(x, delta, conv):
 # DP and KU alike; the same at k = 1, where a strided window without the line
 # buffer would sum differently; delta propagation behind a pooled, rectified
 # layer; 3 x 3 pools at stride 2 (nine taps per pooled element, up to four
-# windows per delta) and at stride 1 (four taps, up to nine windows), so both
-# of numpy's summation orders, running and pairwise, are pinned.
+# windows per delta) and at stride 1 (four taps, up to nine windows), so the
+# in-order sum is pinned past the eight terms where a reduction would start
+# interleaving running sums.
 _SCHEDULE_CASES = [
     ("stride2-pad1", None,
      SuperLayerSpec(ConvSpec(3, 4, 3, stride=2, pad=1), 7, 10, True, None), 16),
@@ -745,7 +756,7 @@ class TestScheduleOrder:
         # wide magnitudes, zeros of both signs and a corner of negative zeros,
         # so a change in the order of additions or in a zero's sign shows;
         # p = 12 at stride 1 adds 144 taps per pooled element and up to 144
-        # windows per delta, past numpy's 128-element pairwise block
+        # windows per delta, so a long sum must stay in order too
         rng = np.random.default_rng(10 * p + s)
         maps_h, maps_w = p + 12, p + 13
         shape = (3, maps_h, maps_w)
@@ -759,6 +770,33 @@ class TestScheduleOrder:
         d = np.ascontiguousarray(maps[:, :ph, :pw])
         assert _same_bits(_pool_transpose_gather(d, layer.pool, maps_h, maps_w),
                           _oracle_pool_transpose(d, layer.pool, maps_h, maps_w))
+
+    def test_pool_engine_and_gather_are_adjoint(self):
+        # acceptance criterion 10's pool draws, error formula and bound:
+        # <pool(x), d> and <x, gather(d)> agree in float64 over 100 seeds
+        worst = 0.0
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            # criterion 10 draws a conv case from the same stream first
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            k = int(rng.integers(1, 4))
+            h, w = int(rng.integers(k, 10)), int(rng.integers(k, 10))
+            spec = ConvSpec(n, m, k, stride=1, pad=int(rng.integers(0, k)))
+            rng.standard_normal((n, h, w))
+            rng.standard_normal((n, m, k, k))
+            rng.standard_normal((m, *spec.out_dims(h, w)))
+            p = int(rng.integers(1, 4))
+            s = int(rng.integers(1, p + 1))
+            hp = int(rng.integers(p, 10))
+            layer = SuperLayerSpec(ConvSpec(1, n, 1), hp, hp, False, PoolSpec(p, s))
+            xp = rng.standard_normal((n, hp, hp)).astype(np.float32)
+            ph, pw = layer.pool.out_dims(hp, hp)
+            dp = rng.standard_normal((n, ph, pw)).astype(np.float32)
+            lhs = float(np.sum(_act_pool_engine(xp, layer).astype(np.float64) * dp))
+            gathered = _pool_transpose_gather(dp, layer.pool, hp, hp)
+            rhs = float(np.sum(xp.astype(np.float64) * gathered))
+            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-6))
+        assert worst <= 1e-5, worst
 
 
 def test_toy_case_stream_builds_for_every_seed():

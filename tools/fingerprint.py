@@ -26,8 +26,10 @@ check, `roofline`, `gradcheck`, and the front-door errors of `simulate
 `moved` reads two `runs` files over the same items and prints, for each
 phase and field, how many lines differ, as `PHASE FIELD COUNT`, in phase and
 field order; it prints nothing when the files agree, and exits 1 when their
-item lists differ. A change that moves outputs on purpose shows there which
-ones moved.
+item lists differ. Right after a phase's `ref_err` count it prints which way
+those errors moved: `ref_err_up`, `ref_err_down` and `ref_err_to_zero` (the
+down lines that reach exactly 0); a NaN on either side counts as up. A change
+that moves outputs on purpose shows there which ones moved.
 """
 
 from __future__ import annotations
@@ -116,13 +118,24 @@ def moved(parent: Path, change: Path) -> int:
     if items[0] != items[1]:
         print(f"error: {parent} and {change} do not hold the same items", file=sys.stderr)
         return 1
-    # compared as JSON text, so a NaN error equals itself
-    counts = Counter((a["label"].split(".")[1], name) for a, b in zip(old, new)
-                     for name in a if json.dumps(a[name]) != json.dumps(b[name]))
+    counts = Counter()
+    for a, b in zip(old, new):
+        phase = a["label"].split(".")[1]
+        # compared as JSON text, so a NaN error equals itself
+        names = [name for name in a if json.dumps(a[name]) != json.dumps(b[name])]
+        counts.update((phase, name) for name in names)
+        if "ref_err" in names:
+            before, after = a["ref_err"], b["ref_err"]
+            down = after < before  # false when either side is NaN
+            counts[phase, "ref_err_down" if down else "ref_err_up"] += 1
+            counts[phase, "ref_err_to_zero"] += down and after == 0
     for phase in PHASES:
         for name in old[0] if old else ():
             if counts[phase, name]:
                 print(phase, name, counts[phase, name])
+                if name == "ref_err":
+                    for way in ("up", "down", "to_zero"):
+                        print(phase, f"ref_err_{way}", counts[phase, f"ref_err_{way}"])
     return 0
 
 
